@@ -378,3 +378,22 @@ func TestVectorCollectivePoolBalance(t *testing.T) {
 		t.Fatal("workspace pools imbalanced after vector collectives")
 	}
 }
+
+// forEachSegPlan visits every plan the registry compiles for a
+// segmented request: every planner × collective × n ∈ 2..16 ×
+// segments ∈ {2, 3, 32}, unsegmented fall-backs included.
+func forEachSegPlan(visit func(p *Plan)) {
+	for _, name := range PlannerNames() {
+		for _, coll := range Collectives() {
+			for n := 2; n <= 16; n++ {
+				for _, segs := range []int{2, 3, 32} {
+					p, err := CompilePlanSeg(coll, Algorithm(name), n, segs)
+					if err != nil {
+						continue // the planner does not implement coll
+					}
+					visit(p)
+				}
+			}
+		}
+	}
+}

@@ -333,9 +333,15 @@ func ringBroadcastSegPlan(n, s int) *Plan {
 	}}})
 	for seg := 0; seg < s; seg++ {
 		r := Round{Name: "broadcast_ring.round", Idx: seg, NB: true}
-		for v := 0; v < n-1; v++ {
+		for v := 0; v < n; v++ {
 			if v > 0 {
 				r.Steps = append(r.Steps, Step{Kind: StepWaitFlag, Actor: v, Peer: -1, Flag: seg})
+			}
+			if v == n-1 {
+				// The tail forwards nothing but must still consume its
+				// flag: an unconsumed post outlives the flag block and
+				// would release the next plan that reuses the address.
+				break
 			}
 			r.Steps = append(r.Steps,
 				Step{
