@@ -273,7 +273,7 @@ func PlanCostShape(p *Plan, tn Tuning, sh Shape, nelems, width int) float64 {
 		}
 		return 1
 	}
-	bulk := p.Chunked || p.FlagWords > 0
+	bulk := p.Chunked
 	xferB := tn.ElemNsPerByte
 	if bulk {
 		xferB = tn.BetaNsPerByte
@@ -343,9 +343,7 @@ func PlanCostShape(p *Plan, tn Tuning, sh Shape, nelems, width int) float64 {
 			// Pipelined chains thread every PE, so hops cross node
 			// boundaries; the inter coefficients are the safe bound.
 			hopA = tn.InterAlphaNs
-			if bulk {
-				xferB = tn.InterBetaNsPerByte
-			}
+			xferB = tn.InterBetaNsPerByte
 		}
 		hop := hopA + tn.FlagNs + float64(segOf(0)*width)*xferB
 		return l + float64(p.PipelineDepth())*hop + barrier

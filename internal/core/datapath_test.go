@@ -2,15 +2,19 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"xbgas/internal/xbrtime"
 )
 
 // ---------------------------------------------------------------------
-// Flag words are consumed exactly as often as they are posted —
-// statically for every compilable plan, dynamically for the ring
-// broadcast whose chain tail used to leave its flags posted.
+// The one-predicate data path: every stride-1 step of a Chunked plan
+// touches the memory hierarchy once per cache line, a strided call of
+// the same plan still lands the right values through the element
+// stream, and flag words are consumed exactly as often as they are
+// posted — statically for every compilable plan, dynamically for the
+// ring broadcast whose chain tail used to leave its flags posted.
 // ---------------------------------------------------------------------
 
 // pathCall is one collective call on symmetric int64 buffers filled
@@ -187,6 +191,132 @@ func (c pathCall) run(pe *xbrtime.PE) (bad int, accesses uint64, err error) {
 func (c pathCall) plan(n int) (*Plan, error) {
 	seg := SelectSegments(c.coll, c.algo, n, c.nelems, 8)
 	return CompilePlanFor(c.coll, c.algo, n, seg, Shape{})
+}
+
+// lineBound is the most hierarchy accesses logical rank me may make
+// executing p at line granularity: per step one touch per cache line of
+// each range it reads or writes (a put reads its source, a get writes
+// its destination, a copy does both, a combine reads two and writes
+// one), two edge lines per range, and a small allowance per round for
+// the barrier and flag polls.
+func (c pathCall) lineBound(p *Plan, n, me int) uint64 {
+	msgs, _ := c.blocks(n)
+	e := execEnv{p: p, n: n, me: me, w: 8}
+	e.a = ExecArgs{Nelems: c.nelems, Stride: c.stride, Root: c.root, PeMsgs: msgs}
+	e.v = VirtualRank(me, c.root, n)
+	if p.Segments > 1 {
+		e.segPer, e.segRem = c.nelems/p.Segments, c.nelems%p.Segments
+	}
+	switch p.Adj {
+	case AdjVector:
+		e.adj = make([]int, n+1)
+		for v := 0; v < n; v++ {
+			e.adj[v+1] = e.adj[v] + msgs[LogicalRank(v, c.root, n)]
+		}
+	case AdjChunks:
+		e.per, e.rem = c.nelems/n, c.nelems%n
+	}
+	var bound uint64
+	for ri := range p.Rounds {
+		r := &p.Rounds[ri]
+		bound += 64
+		for _, s := range r.Steps[r.actorStart[e.v]:r.actorStart[e.v+1]] {
+			ranges := map[StepKind]uint64{StepPut: 1, StepGet: 1, StepCopy: 2, StepCombine: 3}[s.Kind]
+			reps := uint64(1)
+			if s.Blocks > 1 {
+				reps = uint64(s.Blocks)
+			}
+			bound += ranges * (uint64(e.stepCount(&s))*8/64 + 2*reps)
+		}
+	}
+	return bound
+}
+
+// chunkedCalls lists one 1 MiB call per distinct Chunked plan the
+// registry compiles for 8 PEs on a flat fabric.
+func chunkedCalls(t *testing.T, n, nelems int) []pathCall {
+	t.Helper()
+	var calls []pathCall
+	for _, name := range PlannerNames() {
+		pl, _ := LookupPlanner(Algorithm(name))
+		for _, coll := range Collectives() {
+			if !pl.Supports(coll) {
+				continue
+			}
+			c := pathCall{coll: coll, algo: Algorithm(name), nelems: nelems, stride: 1}
+			if rootedColl(coll) {
+				c.root = 3
+			}
+			p, err := c.plan(n)
+			if err != nil {
+				t.Fatalf("%s: %v", c, err)
+			}
+			if p.Chunked {
+				calls = append(calls, c)
+			}
+		}
+	}
+	if len(calls) == 0 {
+		t.Fatal("no Chunked plan registered")
+	}
+	return calls
+}
+
+// TestChunkedPlansTouchLines is the data-path property: a stride-1
+// 1 MiB call of every Chunked plan stays within the line-granular
+// access bound on every PE — one element-at-a-time copy, combine or
+// transfer of a single 32 KiB segment would break it — and the same
+// call at stride 2, which must take the element stream, still matches
+// the oracle.
+func TestChunkedPlansTouchLines(t *testing.T) {
+	const n, nelems = 8, 1 << 17
+	for _, c := range chunkedCalls(t, n, nelems) {
+		c := c
+		t.Run(fmt.Sprintf("%s/%s", c.coll, c.algo), func(t *testing.T) {
+			p, err := c.plan(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSPMD(t, n, func(pe *xbrtime.PE) error {
+				bad, got, err := c.run(pe)
+				if err != nil {
+					return err
+				}
+				if bad > 0 {
+					t.Errorf("%s via %s: PE %d has %d wrong slots", c, p.Label(), pe.MyPE(), bad)
+				}
+				if bound := c.lineBound(p, n, pe.MyPE()); got > bound {
+					t.Errorf("%s via %s: PE %d made %d hierarchy accesses, line-granular bound is %d",
+						c, p.Label(), pe.MyPE(), got, bound)
+				}
+				return nil
+			})
+			switch c.coll {
+			case CollBroadcast, CollReduce, CollAllReduce:
+			default:
+				return // contiguous-only collective
+			}
+			s := c
+			s.stride, s.nelems = 2, nelems/2
+			var elemwise atomic.Bool
+			runSPMD(t, n, func(pe *xbrtime.PE) error {
+				bad, got, err := s.run(pe)
+				if err != nil {
+					return err
+				}
+				if bad > 0 {
+					t.Errorf("%s: PE %d has %d wrong slots", s, pe.MyPE(), bad)
+				}
+				if got >= uint64(s.nelems) {
+					elemwise.Store(true)
+				}
+				return nil
+			})
+			if !elemwise.Load() {
+				t.Errorf("%s: no PE made an access per element; the strided call left the element stream", s)
+			}
+		})
+	}
 }
 
 // TestFlagBalanceStatic checks, for every plan the registry compiles,

@@ -76,6 +76,11 @@ type execEnv struct {
 
 	cost uint64 // per-element combine cost
 
+	// bulk is Plan.Chunked, the one bulk-vs-element predicate: when set,
+	// every stride-1 put, get, copy and combine takes the line-granular
+	// chunk accessors. Strided steps always take the element stream.
+	bulk bool
+
 	// slog, when non-nil, receives the category and releaser of every
 	// executed step's virtual-clock interval — the raw material of the
 	// critical-path extractor. Nil whenever tracing is off.
@@ -86,7 +91,7 @@ type execEnv struct {
 // the plan's world (or team) must call it collectively, like any other
 // collective entry point.
 func Execute(pe *xbrtime.PE, p *Plan, a ExecArgs) error {
-	e := execEnv{pe: pe, p: p, a: a, w: uint64(a.DT.Width), slog: pe.StepLog()}
+	e := execEnv{pe: pe, p: p, a: a, w: uint64(a.DT.Width), slog: pe.StepLog(), bulk: p.Chunked}
 	if a.Team != nil {
 		r, ok := a.Team.Rank(pe)
 		if !ok {
@@ -318,42 +323,39 @@ func (e *execEnv) step(s *Step, r *Round, handles *[]xbrtime.Handle) error {
 		if a.OnTransfer != nil {
 			a.OnTransfer(r.Idx, *s, cnt)
 		}
-		if s.Kind == StepPut {
-			if r.NB {
-				var h xbrtime.Handle
-				var err error
-				if (e.p.FlagWords > 0 || e.p.Chunked) && stride == 1 {
-					// Pipelined segments move as line-granular bulk
-					// chunks; strided segments keep element streams.
-					h, err = pe.PutChunkNB(a.DT, dst, src, cnt, tgt)
-				} else {
-					h, err = pe.PutNB(a.DT, dst, src, cnt, stride, tgt)
-				}
-				if err != nil {
-					return err
-				}
-				*handles = append(*handles, h)
-				e.lastNB = h
-				return nil
-			}
-			if e.p.Chunked && stride == 1 {
+		// One predicate picks the data path: a Chunked plan moves every
+		// stride-1 range as line-granular bulk traffic; strided ranges
+		// and the paper's element-at-a-time plans keep element streams.
+		put, bulk := s.Kind == StepPut, e.bulk && stride == 1
+		if !r.NB {
+			switch {
+			case put && bulk:
 				return pe.PutChunk(a.DT, dst, src, cnt, tgt)
+			case put:
+				return pe.Put(a.DT, dst, src, cnt, stride, tgt)
+			case bulk:
+				return pe.GetChunk(a.DT, dst, src, cnt, tgt)
 			}
-			return pe.Put(a.DT, dst, src, cnt, stride, tgt)
+			return pe.Get(a.DT, dst, src, cnt, stride, tgt)
 		}
-		if r.NB {
-			h, err := pe.GetNB(a.DT, dst, src, cnt, stride, tgt)
-			if err != nil {
-				return err
-			}
-			*handles = append(*handles, h)
-			e.lastNB = h
-			return nil
+		var h xbrtime.Handle
+		var err error
+		switch {
+		case put && bulk:
+			h, err = pe.PutChunkNB(a.DT, dst, src, cnt, tgt)
+		case put:
+			h, err = pe.PutNB(a.DT, dst, src, cnt, stride, tgt)
+		case bulk:
+			h, err = pe.GetChunkNB(a.DT, dst, src, cnt, tgt)
+		default:
+			h, err = pe.GetNB(a.DT, dst, src, cnt, stride, tgt)
 		}
-		if (e.p.FlagWords > 0 || e.p.Chunked) && stride == 1 {
-			return pe.GetChunk(a.DT, dst, src, cnt, tgt)
+		if err != nil {
+			return err
 		}
-		return pe.Get(a.DT, dst, src, cnt, stride, tgt)
+		*handles = append(*handles, h)
+		e.lastNB = h
+		return nil
 
 	case StepCopy:
 		cnt := e.count(s)
@@ -365,7 +367,7 @@ func (e *execEnv) step(s *Step, r *Round, handles *[]xbrtime.Handle) error {
 			return nil
 		}
 		ds, ss := e.strideOf(s.DstStrided), e.strideOf(s.SrcStrided)
-		if e.p.Chunked && ds == 1 && ss == 1 {
+		if e.bulk && ds == 1 && ss == 1 {
 			pe.CopyChunk(a.DT, dst, src, cnt)
 			return nil
 		}
@@ -375,7 +377,7 @@ func (e *execEnv) step(s *Step, r *Round, handles *[]xbrtime.Handle) error {
 		cnt := e.count(s)
 		dst, src := e.addr(s.Dst, s.DstStrided), e.addr(s.Src, s.SrcStrided)
 		ds, ss := e.strideOf(s.DstStrided), e.strideOf(s.SrcStrided)
-		if e.p.Chunked && ds == 1 && ss == 1 {
+		if e.bulk && ds == 1 && ss == 1 {
 			return e.combineChunk(dst, src, cnt)
 		}
 		for j := 0; j < cnt; j++ {

@@ -314,12 +314,15 @@ type Plan struct {
 	FlagWords int
 	Depth     int
 
-	// Chunked opts the plan's stride-1 data movement into the bulk
-	// paths: line-granular chunk transfers (see xbrtime/chunk.go) for
-	// blocking puts/gets, and bulk timed copies/combines instead of the
-	// element-at-a-time accessors. The bandwidth-optimal planners set
-	// it — their whole point is moving large contiguous chunks — while
-	// the paper's element-at-a-time plans keep the historical model.
+	// Chunked is the one bulk-vs-element predicate, for the executor
+	// and the cost model alike. Every stride-1 put, get (blocking or
+	// not), copy and combine of a Chunked plan moves as line-granular
+	// bulk traffic (xbrtime/chunk.go, bulk.go); its strided steps, and
+	// every step of a plan without it, take the element-at-a-time
+	// accessors. The bandwidth-optimal planners set it — their whole
+	// point is moving large contiguous chunks — and finalize sets it for
+	// every flag-pipelined plan (FlagWords > 0); the paper's unsegmented
+	// element-at-a-time plans keep the historical model.
 	Chunked bool
 
 	label string // Collective/Algorithm, reported through NotePlanner
@@ -351,6 +354,9 @@ func (p *Plan) PipelineDepth() int {
 // Planners already emit actor-sorted steps; the stable sort makes the
 // invariant structural rather than conventional.
 func (p *Plan) finalize() {
+	if p.FlagWords > 0 {
+		p.Chunked = true
+	}
 	for ri := range p.Rounds {
 		r := &p.Rounds[ri]
 		sort.SliceStable(r.Steps, func(i, j int) bool {

@@ -397,3 +397,22 @@ func forEachSegPlan(visit func(p *Plan)) {
 		}
 	}
 }
+
+// TestFlagPlansAreChunked pins the one-predicate rule at its source:
+// every flag-pipelined plan is Chunked, so the executor and the cost
+// model never need to ask about FlagWords to pick a data path.
+func TestFlagPlansAreChunked(t *testing.T) {
+	flagged := 0
+	forEachSegPlan(func(p *Plan) {
+		if p.FlagWords == 0 {
+			return
+		}
+		flagged++
+		if !p.Chunked {
+			t.Errorf("%s n=%d: %d flag words but not Chunked", p.Label(), p.NPEs, p.FlagWords)
+		}
+	})
+	if flagged == 0 {
+		t.Fatal("no flag-pipelined plan compiled")
+	}
+}

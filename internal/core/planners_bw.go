@@ -19,9 +19,11 @@ package core
 //     machinery: depth (n−1)+(S−1) but every link carries every byte
 //     exactly once.
 //
-// All of them mark the plan Chunked, so stride-1 data moves through the
-// line-granular bulk paths (chunk transfers, bulk copies and combines)
-// instead of the element-at-a-time accessors. Non-power-of-two counts
+// All of them mark the plan Chunked — the one bulk-vs-element predicate
+// (see Plan.Chunked) — so every stride-1 put, get, copy and combine
+// moves through the line-granular bulk paths instead of the
+// element-at-a-time accessors, and a strided call falls back to the
+// element stream step by step. Non-power-of-two counts
 // and roots need no special casing anywhere: chunk identities are
 // virtual ranks and the executor's vrank remap and AdjChunks geometry
 // resolve them per call.
@@ -285,7 +287,8 @@ func ringBroadcastPlan(n int) *Plan {
 func ringReducePlan(n int) *Plan {
 	p := &Plan{
 		Collective: CollReduce, Algorithm: AlgoRing, Span: "reduce_ring", NPEs: n,
-		Stage: BufSpan, Scratch: BufSpan, UsesOp: true, Depth: n - 1,
+		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
+		Chunked: true, Depth: n - 1,
 	}
 	pro := Round{Idx: -1, Steps: stageAll(n)}
 	pro.Steps = append(pro.Steps, barrierStep())
@@ -370,7 +373,7 @@ func ringReduceSegPlan(n, s int) *Plan {
 	p := &Plan{
 		Collective: CollReduce, Algorithm: AlgoRing, Span: "reduce_ring", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
-		Segments: s, FlagWords: (n - 1) * s, Depth: (n - 1) + (s - 1),
+		Segments: s, FlagWords: (n - 1) * s, Depth: (n - 1) + (s - 1), Chunked: true,
 	}
 	for seg := 0; seg < s; seg++ {
 		r := Round{Name: "reduce_ring.round", Idx: seg}

@@ -37,9 +37,7 @@ func (pe *PE) CopyChunk(dt DType, dst, src uint64, nelems int) {
 	bytes := uint64(nelems) * uint64(dt.Width)
 	cost := pe.touchLines(src, bytes, false)
 	cost += pe.touchLines(dst, bytes, true)
-	buf := pe.bytes(int(bytes))
-	pe.node.LockedReadBytes(src, buf)
-	pe.node.LockedWriteBytes(dst, buf)
+	pe.moveBytes(pe.node, dst, pe.node, src, bytes)
 	pe.Advance(cost)
 }
 

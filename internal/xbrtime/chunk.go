@@ -3,6 +3,7 @@ package xbrtime
 import (
 	"xbgas/internal/fabric"
 	"xbgas/internal/mem"
+	"xbgas/internal/sim"
 )
 
 // Chunk transfers: the bulk data path of the segmented plan executor.
@@ -29,6 +30,26 @@ func chunkLines(addr, bytes uint64) (first uint64, n int) {
 	first = addr &^ uint64(mem.LineSize-1)
 	n = int((addr + bytes - first + mem.LineSize - 1) / mem.LineSize)
 	return first, n
+}
+
+// stagingBytes bounds the host block the bulk paths move payload
+// through, so a PE's host footprint does not grow with the largest
+// range it ever copied.
+const stagingBytes = 32 << 10
+
+// moveBytes copies n bytes from src on node from to dst on node to, in
+// address order through the PE's bounded staging block. Purely
+// functional: the caller has already charged the hierarchy and fabric.
+func (pe *PE) moveBytes(to *sim.Node, dst uint64, from *sim.Node, src, n uint64) {
+	buf := pe.bytes(stagingBytes)
+	for off := uint64(0); off < n; off += stagingBytes {
+		b := buf
+		if n-off < stagingBytes {
+			b = buf[:n-off]
+		}
+		from.LockedReadBytes(src+off, b)
+		to.LockedWriteBytes(dst+off, b)
+	}
 }
 
 // PutChunkNB streams nelems contiguous elements of type dt from local
@@ -83,9 +104,7 @@ func (pe *PE) PutChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle
 	if err != nil {
 		return Handle{}, err
 	}
-	buf := pe.bytes(int(bytes))
-	pe.node.LockedReadBytes(src, buf)
-	targetNode.LockedWriteBytes(dest, buf)
+	pe.moveBytes(targetNode, dest, pe.node, src, bytes)
 	pe.advanceTo(endIssue)
 	h := Handle{completeAt: lastArrive, active: true}
 	if pe.ObsEnabled() {
@@ -94,12 +113,11 @@ func (pe *PE) PutChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle
 	return h, nil
 }
 
-// GetChunk pulls nelems contiguous elements of type dt from address
-// src on PE target into local dest as line-granular bulk fetches and
-// blocks until the data has landed. Semantically it equals
-// Get(dt, dest, src, nelems, 1, target) with the chunk cost model.
+// GetChunk is the blocking form of GetChunkNB: it pulls nelems
+// contiguous elements from PE target as line-granular bulk fetches and
+// waits until the data has landed.
 func (pe *PE) GetChunk(dt DType, dest, src uint64, nelems, target int) error {
-	h, err := pe.getChunkNB(dt, dest, src, nelems, target)
+	h, err := pe.GetChunkNB(dt, dest, src, nelems, target)
 	if err != nil {
 		return err
 	}
@@ -107,7 +125,12 @@ func (pe *PE) GetChunk(dt DType, dest, src uint64, nelems, target int) error {
 	return nil
 }
 
-func (pe *PE) getChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle, error) {
+// GetChunkNB pulls nelems contiguous elements of type dt from address
+// src on PE target into local dest as line-granular bulk fetches and
+// returns without waiting for the data to land. Semantically it equals
+// GetNB(dt, dest, src, nelems, 1, target) with the chunk cost model;
+// the degenerate and diagnostic paths delegate as in PutChunkNB.
+func (pe *PE) GetChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle, error) {
 	if err := checkTransfer(dt, nelems, 1); err != nil {
 		return Handle{}, err
 	}
@@ -151,9 +174,7 @@ func (pe *PE) getChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle
 	if err != nil {
 		return Handle{}, err
 	}
-	buf := pe.bytes(int(bytes))
-	targetNode.LockedReadBytes(src, buf)
-	pe.node.LockedWriteBytes(dest, buf)
+	pe.moveBytes(pe.node, dest, targetNode, src, bytes)
 	pe.advanceTo(endIssue)
 	h := Handle{completeAt: lastDone, active: true}
 	if pe.ObsEnabled() {
