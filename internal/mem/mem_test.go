@@ -102,6 +102,95 @@ func TestTLBFlush(t *testing.T) {
 	}
 }
 
+// refTLB is the map-and-tick LRU the TLB was first written as, kept
+// verbatim as the differential oracle: every lookup stamps the page
+// with a fresh tick, and a miss on a full TLB scans all entries for the
+// oldest stamp.
+type refTLB struct {
+	entries      int
+	slots        map[uint64]uint64 // page number -> last-use tick
+	tick         uint64
+	hits, misses uint64
+}
+
+func newRefTLB(entries int) *refTLB {
+	if entries <= 0 {
+		entries = 1
+	}
+	return &refTLB{entries: entries, slots: make(map[uint64]uint64, entries)}
+}
+
+func (t *refTLB) Lookup(addr uint64) bool {
+	pn := addr / PageSize
+	t.tick++
+	if _, ok := t.slots[pn]; ok {
+		t.slots[pn] = t.tick
+		t.hits++
+		return true
+	}
+	t.misses++
+	if len(t.slots) >= t.entries {
+		var victim uint64
+		oldest := ^uint64(0)
+		for p, used := range t.slots {
+			if used < oldest {
+				oldest = used
+				victim = p
+			}
+		}
+		delete(t.slots, victim)
+	}
+	t.slots[pn] = t.tick
+	return false
+}
+
+func (t *refTLB) Flush() { t.slots = make(map[uint64]uint64, t.entries) }
+
+// TestTLBMatchesReference replays address traces through the TLB and
+// the reference and demands the same answer to every lookup and the
+// same counters: a streaming sweep (the same-page early-out), uniform
+// random pages (GUPS), round-robin over exactly capacity and
+// capacity+1 pages (always-hit and always-miss under LRU), and each of
+// those again after a Flush mid-trace.
+func TestTLBMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	traces := map[string]func(i int) uint64{
+		"streaming": func(i int) uint64 { return uint64(i) * LineSize },
+		"random":    func(int) uint64 { return uint64(rng.Intn(4096))*PageSize + uint64(rng.Intn(PageSize)) },
+		"hot-cold": func(i int) uint64 {
+			if i%3 == 0 {
+				return uint64(rng.Intn(1<<16)) * PageSize
+			}
+			return uint64(rng.Intn(8)) * PageSize
+		},
+		"capacity":   func(i int) uint64 { return uint64(i%256) * PageSize },
+		"capacity+1": func(i int) uint64 { return uint64(i%257) * PageSize },
+	}
+	for _, entries := range []int{0, 1, 2, 7, 256} {
+		for name, addr := range traces {
+			tlb, ref := NewTLB(entries), newRefTLB(entries)
+			const steps = 40_000
+			for i := 0; i < steps; i++ {
+				if i == steps/2 || i == steps/2+3 {
+					tlb.Flush()
+					ref.Flush()
+				}
+				a := addr(i)
+				if got, want := tlb.Lookup(a), ref.Lookup(a); got != want {
+					t.Fatalf("%s, %d entries: lookup %d of %#x hit=%v, reference %v", name, entries, i, a, got, want)
+				}
+			}
+			if tlb.Hits() != ref.hits || tlb.Misses() != ref.misses {
+				t.Errorf("%s, %d entries: %d hits / %d misses, reference %d / %d",
+					name, entries, tlb.Hits(), tlb.Misses(), ref.hits, ref.misses)
+			}
+			if tlb.Entries() != ref.entries {
+				t.Errorf("%d entries requested: capacity %d, reference %d", entries, tlb.Entries(), ref.entries)
+			}
+		}
+	}
+}
+
 func TestCacheGeometryValidation(t *testing.T) {
 	if _, err := NewCache("bad", 1000, 8); err == nil {
 		t.Error("expected geometry error for non-line-multiple size")

@@ -1,17 +1,27 @@
 package mem
 
-// TLB is a fully-associative translation look-aside buffer with LRU
-// replacement, matching the paper's 256-entry per-core configuration.
-// The simulation uses identity translation (physical == virtual within a
-// node), so the TLB exists purely for its timing behaviour: a miss adds
-// a page-walk penalty to the access cost.
+// TLB is a fully-associative translation look-aside buffer with exact
+// LRU replacement, matching the paper's 256-entry per-core
+// configuration. The simulation uses identity translation (physical ==
+// virtual within a node), so the TLB exists purely for its timing
+// behaviour: a miss adds a page-walk penalty to the access cost.
+//
+// Every operation is O(1): the entries are slots threaded on an
+// intrusive doubly-linked recency list (slot `entries` is the list's
+// sentinel, so next[entries] is the most and prev[entries] the least
+// recently used slot) and found through a page → slot index. A lookup
+// of the page that is already most recent — every touch of a streaming
+// sweep but the first on each page — returns before the index is
+// probed at all.
 type TLB struct {
-	entries  int
-	slots    map[uint64]uint64 // page number -> last-use tick
-	tick     uint64
-	hits     uint64
-	misses   uint64
-	capacity int
+	entries int
+	page    []uint64         // slot -> page number
+	prev    []int32          // slot -> next more recently used slot
+	next    []int32          // slot -> next less recently used slot
+	index   map[uint64]int32 // page number -> slot
+	used    int32            // slots filled since the last Flush
+	hits    uint64
+	misses  uint64
 }
 
 // NewTLB returns a TLB with the given number of entries.
@@ -19,10 +29,14 @@ func NewTLB(entries int) *TLB {
 	if entries <= 0 {
 		entries = 1
 	}
-	return &TLB{
+	t := &TLB{
 		entries: entries,
-		slots:   make(map[uint64]uint64, entries),
+		page:    make([]uint64, entries),
+		prev:    make([]int32, entries+1),
+		next:    make([]int32, entries+1),
 	}
+	t.Flush()
+	return t
 }
 
 // Lookup translates the page containing addr, returning true on a hit.
@@ -30,30 +44,47 @@ func NewTLB(entries int) *TLB {
 // if the TLB is full.
 func (t *TLB) Lookup(addr uint64) bool {
 	pn := addr / PageSize
-	t.tick++
-	if _, ok := t.slots[pn]; ok {
-		t.slots[pn] = t.tick
+	head := int32(t.entries)
+	if mru := t.next[head]; mru != head && t.page[mru] == pn {
 		t.hits++
 		return true
 	}
-	t.misses++
-	if len(t.slots) >= t.entries {
-		var victim uint64
-		oldest := ^uint64(0)
-		for p, used := range t.slots {
-			if used < oldest {
-				oldest = used
-				victim = p
-			}
+	s, hit := t.index[pn]
+	if hit {
+		t.hits++
+		t.unlink(s)
+	} else {
+		t.misses++
+		if int(t.used) < t.entries {
+			s = t.used
+			t.used++
+		} else {
+			s = t.prev[head]
+			t.unlink(s)
+			delete(t.index, t.page[s])
 		}
-		delete(t.slots, victim)
+		t.page[s] = pn
+		t.index[pn] = s
 	}
-	t.slots[pn] = t.tick
-	return false
+	first := t.next[head]
+	t.prev[s], t.next[s] = head, first
+	t.prev[first], t.next[head] = s, s
+	return hit
+}
+
+// unlink removes slot s from the recency list.
+func (t *TLB) unlink(s int32) {
+	p, n := t.prev[s], t.next[s]
+	t.next[p], t.prev[n] = n, p
 }
 
 // Flush empties the TLB, keeping statistics.
-func (t *TLB) Flush() { t.slots = make(map[uint64]uint64, t.entries) }
+func (t *TLB) Flush() {
+	head := int32(t.entries)
+	t.prev[head], t.next[head] = head, head
+	t.used = 0
+	t.index = make(map[uint64]int32, t.entries)
+}
 
 // Hits returns the number of lookups that hit.
 func (t *TLB) Hits() uint64 { return t.hits }
