@@ -456,12 +456,8 @@ func (e *execEnv) combineChunk(dst, src uint64, cnt int) error {
 	defer pe.ReturnWords(xs)
 	pe.ReadElemsChunk(a.DT, dst, xs)
 	pe.ReadElemsChunk(a.DT, src, ys)
-	for j := range xs {
-		v, err := Combine(a.DT, a.Op, xs[j], ys[j])
-		if err != nil {
-			return err
-		}
-		xs[j] = v
+	if err := combineSlice(a.DT, a.Op, xs, ys); err != nil {
+		return err
 	}
 	pe.Advance(e.cost * uint64(cnt))
 	pe.WriteElemsChunk(a.DT, dst, xs)

@@ -118,7 +118,7 @@ func bitwise[T ~int64 | ~uint64](op ReduceOp, x, y T) T {
 // pair; the arithmetic itself lives in the shared generic kernels.
 func Combine(dt xbrtime.DType, op ReduceOp, a, b uint64) (uint64, error) {
 	if !op.ValidFor(dt) {
-		return 0, fmt.Errorf("core: operator %s undefined for type %s", op, dt)
+		return 0, errUndefined(dt, op)
 	}
 	switch dt.Kind {
 	case xbrtime.KindFloat:
@@ -128,6 +128,36 @@ func Combine(dt xbrtime.DType, op ReduceOp, a, b uint64) (uint64, error) {
 	default: // KindUint
 		return dt.Canon(bitwise(op, a, b)), nil
 	}
+}
+
+func errUndefined(dt xbrtime.DType, op ReduceOp) error {
+	return fmt.Errorf("core: operator %s undefined for type %s", op, dt)
+}
+
+// combineSlice folds src into dst element-wise, dst[i] = Combine(dt,
+// op, dst[i], src[i]) bit for bit, for the bulk combine path: the
+// operator is validated and the kind dispatched once per slice, so each
+// loop is one monomorphic kernel instantiation.
+func combineSlice(dt xbrtime.DType, op ReduceOp, dst, src []uint64) error {
+	if !op.ValidFor(dt) {
+		return errUndefined(dt, op)
+	}
+	src = src[:len(dst)]
+	switch dt.Kind {
+	case xbrtime.KindFloat:
+		for i, x := range dst {
+			dst[i] = dt.FromFloat(arith(op, dt.Float(x), dt.Float(src[i])))
+		}
+	case xbrtime.KindInt:
+		for i, x := range dst {
+			dst[i] = dt.Canon(uint64(bitwise(op, int64(x), int64(src[i]))))
+		}
+	default: // KindUint
+		for i, x := range dst {
+			dst[i] = dt.Canon(bitwise(op, x, src[i]))
+		}
+	}
+	return nil
 }
 
 // identityClass says how an operator's identity element is built from

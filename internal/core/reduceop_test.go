@@ -93,24 +93,37 @@ func refCombine(dt xbrtime.DType, op ReduceOp, a, b uint64) (uint64, bool) {
 }
 
 // TestCombineMatchesReference quick-checks the generic Combine kernels
-// against the reference switches over random canonical operands for
-// every (dtype, op) cell — including NaN and infinity bit patterns for
-// the float rows.
+// — the scalar entry point and the slice kernel of the bulk combine
+// path — against the reference switches over random canonical operands
+// for every (dtype, op) cell, including NaN and infinity bit patterns
+// for the float rows.
 func TestCombineMatchesReference(t *testing.T) {
-	f := func(rawA, rawB uint64) bool {
+	f := func(rawA, rawB [5]uint64) bool {
 		for _, dt := range xbrtime.Types {
-			a, b := dt.Canon(rawA), dt.Canon(rawB)
+			var as, bs [len(rawA)]uint64
+			for i := range as {
+				as[i], bs[i] = dt.Canon(rawA[i]), dt.Canon(rawB[i])
+			}
 			for _, op := range AllReduceOps() {
-				want, ok := refCombine(dt, op, a, b)
-				got, err := Combine(dt, op, a, b)
-				if (err == nil) != ok {
-					t.Errorf("%s %s: error=%v, reference valid=%v", dt, op, err, ok)
-					return false
-				}
-				if ok && got != want {
-					t.Errorf("%s %s Combine(%#x, %#x) = %#x, reference %#x",
-						dt, op, a, b, got, want)
-					return false
+				folded := as
+				sliceErr := combineSlice(dt, op, folded[:], bs[:])
+				for i, a := range as {
+					b := bs[i]
+					want, ok := refCombine(dt, op, a, b)
+					got, err := Combine(dt, op, a, b)
+					if (err == nil) != ok || (sliceErr == nil) != ok {
+						t.Errorf("%s %s: error=%v, slice error=%v, reference valid=%v", dt, op, err, sliceErr, ok)
+						return false
+					}
+					if !ok && folded[i] != a {
+						t.Errorf("%s %s: rejected combineSlice still wrote element %d", dt, op, i)
+						return false
+					}
+					if ok && (got != want || folded[i] != want) {
+						t.Errorf("%s %s (%#x, %#x): Combine %#x, combineSlice %#x, reference %#x",
+							dt, op, a, b, got, folded[i], want)
+						return false
+					}
 				}
 			}
 		}
