@@ -216,12 +216,13 @@ func (c pathCall) lineBound(p *Plan, n, me int) uint64 {
 	case AdjChunks:
 		e.per, e.rem = c.nelems/n, c.nelems%n
 	}
+	rangesTouched := map[StepKind]uint64{StepPut: 1, StepGet: 1, StepCopy: 2, StepCombine: 3}
 	var bound uint64
 	for ri := range p.Rounds {
 		r := &p.Rounds[ri]
 		bound += 64
 		for _, s := range r.Steps[r.actorStart[e.v]:r.actorStart[e.v+1]] {
-			ranges := map[StepKind]uint64{StepPut: 1, StepGet: 1, StepCopy: 2, StepCombine: 3}[s.Kind]
+			ranges := rangesTouched[s.Kind]
 			reps := uint64(1)
 			if s.Blocks > 1 {
 				reps = uint64(s.Blocks)

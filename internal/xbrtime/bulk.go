@@ -5,10 +5,10 @@ import "xbgas/internal/mem"
 // Timed bulk local accessors: the local-memory analogue of the chunk
 // transfer path (chunk.go). The element-at-a-time ReadElem/WriteElem
 // model the paper's scalar load/store loops — one hierarchy touch and
-// one locked access per element — and the unsegmented plans keep them.
-// The bandwidth-optimal plans instead move contiguous payload the way a
-// vectorised memcpy would: one touch per 64-byte cache line and one
-// locked block transfer for the whole range, so the host prices a line,
+// one locked access per element — and the unsegmented trees keep them.
+// Chunked plans instead move contiguous payload the way a vectorised
+// memcpy would: one touch per 64-byte cache line and locked block
+// transfers through a bounded staging block, so the host prices a line,
 // not eight element accesses. Only stride-1 payload coalesces; strided
 // layouts stay on the element accessors.
 
@@ -28,8 +28,9 @@ func (pe *PE) touchLines(addr, bytes uint64, write bool) uint64 {
 
 // CopyChunk copies nelems contiguous elements of type dt from src to
 // dst through the timed hierarchy as line-granular bulk traffic.
-// Semantically it equals nelems ReadElem/WriteElem pairs; the cost
-// model differs as described above.
+// Semantically it equals nelems ReadElem/WriteElem pairs for ranges
+// that do not partially overlap (the bytes move block by block through
+// the staging buffer); the cost model differs as described above.
 func (pe *PE) CopyChunk(dt DType, dst, src uint64, nelems int) {
 	if nelems <= 0 {
 		return

@@ -6,19 +6,20 @@ import (
 	"xbgas/internal/sim"
 )
 
-// Chunk transfers: the bulk data path of the segmented plan executor.
+// Chunk transfers: the bulk data path of the plan executor.
 //
 // The element-at-a-time Put/Get model the paper's xBGAS stubs — a
 // scalar load, a remote store, one fabric message per element, with
 // an 8-byte address header on every element. That is the right model
-// for the paper's whole-message rounds, and the unsegmented plans keep
-// it. The pipelined executor instead moves each segment as one bulk
-// stream, the way a chunked protocol engine would: contiguous payload
-// is fetched line-by-line from the hierarchy (one touch per 64-byte
-// line, not per element) and injected as line-sized packets, so the
-// per-element header and issue overhead disappear and the host prices
-// one cache line, not eight element loads. Strided segments fall back
-// to the element stream — only stride-1 payload coalesces into lines.
+// for the paper's whole-message rounds, and the unsegmented trees keep
+// it. A plan marked core.Plan.Chunked instead moves every stride-1
+// range as one bulk stream, the way a chunked protocol engine would:
+// contiguous payload is fetched line-by-line from the hierarchy (one
+// touch per 64-byte line, not per element) and injected as line-sized
+// packets, so the per-element header and issue overhead disappear and
+// the host prices one cache line, not eight element loads. Strided
+// ranges fall back to the element stream — only stride-1 payload
+// coalesces into lines.
 
 // chunkHeaderBytes is the per-packet address/command header of the
 // bulk stream (one header per line instead of one per element).
