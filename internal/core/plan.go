@@ -13,10 +13,11 @@ import (
 // root-dependent quantity — logical ranks, buffer addresses, element
 // counts, strides — is expressed symbolically and resolved by the
 // executor at call time, one cached plan serves every root, element
-// count, stride, and team of the same PE count. Planners (planners.go)
-// compile plans; the executor (exec.go) runs them; schedule.go's
-// analytic schedules are projections of the same plans, so the
-// executed pattern and the documented pattern cannot drift.
+// count, stride, and team of the same PE count. Planners
+// (planners*.go, built on build.go) compile plans; the executor
+// (exec.go) runs them; schedule.go's analytic schedules are projections
+// of the same plans, so the executed pattern and the documented pattern
+// cannot drift.
 
 // Collective identifies the operation a plan implements.
 type Collective uint8

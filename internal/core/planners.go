@@ -59,24 +59,6 @@ func getTreeEdges(n int) [][]treeEdge {
 	return out
 }
 
-func barrierStep() Step {
-	return Step{Kind: StepBarrier, Actor: ActorAll, Peer: -1}
-}
-
-// stageAll emits one strided copy per virtual rank loading the
-// symmetric staging buffer with the PE's contribution.
-func stageAll(n int) []Step {
-	steps := make([]Step, 0, n+1)
-	for v := 0; v < n; v++ {
-		steps = append(steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountAll, DstStrided: true, SrcStrided: true,
-		})
-	}
-	return steps
-}
-
 func compileBinomial(coll Collective, n int) *Plan {
 	switch coll {
 	case CollBroadcast:
@@ -100,26 +82,12 @@ func compileBinomial(coll Collective, n int) *Plan {
 // forwards from the same symmetric address), then each round's
 // senders put their whole payload down the tree.
 func binomialBroadcastPlan(n int) *Plan {
-	p := &Plan{Collective: CollBroadcast, Algorithm: AlgoBinomial, Span: "broadcast", NPEs: n}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufSrc},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-		SkipIfAlias: true,
-	}}})
-	for idx, edges := range putTreeEdges(n) {
-		r := Round{Name: "broadcast.round", Idx: idx}
-		for _, e := range edges {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepPut, Actor: e.from, Peer: e.to,
-				Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufDest},
-				Count: CountAll, Strided: true,
-			})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
+	b := newBuilder(&Plan{Collective: CollBroadcast, Algorithm: AlgoBinomial, Span: "broadcast", NPEs: n})
+	b.seedRoot()
+	for _, level := range putTreeEdges(n) {
+		b.push(treeMoves(always(whole()), level), BufDest)
 	}
-	return p
+	return b.done()
 }
 
 // binomialReducePlan is Algorithm 2: every PE stages its contribution
@@ -128,37 +96,16 @@ func binomialBroadcastPlan(n int) *Plan {
 // result to dest. Both buffers exist to "prevent any unintended
 // overwriting of values on any PE".
 func binomialReducePlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollReduce, Algorithm: AlgoBinomial, Span: "reduce", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
+	})
+	b.stageVector()
+	for _, level := range getTreeEdges(n) {
+		b.fold(treeMoves(always(whole()), level))
 	}
-	pro := Round{Idx: -1, Steps: stageAll(n)}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	for idx, edges := range getTreeEdges(n) {
-		r := Round{Name: "reduce.round", Idx: idx}
-		for _, e := range edges {
-			r.Steps = append(r.Steps,
-				Step{
-					Kind: StepGet, Actor: e.from, Peer: e.to,
-					Dst: Loc{Buf: BufScratch}, Src: Loc{Buf: BufStage},
-					Count: CountAll, Strided: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: e.from, Peer: -1,
-					Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufScratch},
-					Count: CountAll, DstStrided: true, SrcStrided: true,
-				})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
-	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-	}}})
-	return p
+	b.deliverRoot()
+	return b.done()
 }
 
 // binomialScatterPlan is Algorithm 3: the root reorders src
@@ -169,45 +116,16 @@ func binomialReducePlan(n int) *Plan {
 // contiguous subtree block, and each PE finally relocates its own
 // block to dest.
 func binomialScatterPlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollScatter, Algorithm: AlgoBinomial, Span: "scatter", NPEs: n,
 		Stage: BufTotal, Adj: AdjVector,
+	})
+	b.stageRoot(OffDisp)
+	for _, level := range putTreeEdges(n) {
+		b.push(treeMoves(subtreeOf, level), BufStage)
 	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: 0, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc, Off: OffDisp, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	for idx, edges := range putTreeEdges(n) {
-		r := Round{Name: "scatter.round", Idx: idx}
-		for _, e := range edges {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepPut, Actor: e.from, Peer: e.to,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-				Count: CountSubtree, CV: e.to, CB: e.bit, SkipIfZero: true,
-			})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.deliverBlock()
+	return b.done()
 }
 
 // binomialGatherPlan is Algorithm 4 — Algorithm 3 read leaves→root
@@ -215,45 +133,18 @@ func binomialScatterPlan(n int) *Plan {
 // survivors pull their partner's aggregated subtree block, and the
 // root reorders the virtual-rank-ordered staging buffer into dest.
 func binomialGatherPlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollGather, Algorithm: AlgoBinomial, Span: "gather", NPEs: n,
 		Stage: BufTotal, Adj: AdjVector,
+	})
+	b.stageBlocks()
+	for _, level := range getTreeEdges(n) {
+		b.pull(treeMoves(subtreeOf, level))
 	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	for idx, edges := range getTreeEdges(n) {
-		r := Round{Name: "gather.round", Idx: idx}
-		for _, e := range edges {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepGet, Actor: e.from, Peer: e.to,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-				Count: CountSubtree, CV: e.to, CB: e.bit, SkipIfZero: true,
-			})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: 0, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffDisp, V: v},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.local(b.perPE(func(steps []Step, v int) []Step {
+		return b.step(steps, StepCopy, 0, -1, block(v).at(OffDisp).in(BufDest), block(v).in(BufStage), block(v))
+	}), false)
+	return b.done()
 }
 
 // binomialAllReducePlan composes reduce and broadcast over one shared
@@ -262,56 +153,19 @@ func binomialGatherPlan(n int) *Plan {
 // staged result to dest — one allocation and no dest round-trip,
 // unlike the historical Reduce-then-Broadcast composition.
 func binomialAllReducePlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollAllReduce, Algorithm: AlgoBinomial, Span: "allreduce", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
+	})
+	b.stageVector()
+	for _, level := range getTreeEdges(n) {
+		b.fold(treeMoves(always(whole()), level))
 	}
-	pro := Round{Idx: -1, Steps: stageAll(n)}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
-	for _, edges := range getTreeEdges(n) {
-		r := Round{Name: "allreduce.round", Idx: idx}
-		idx++
-		for _, e := range edges {
-			r.Steps = append(r.Steps,
-				Step{
-					Kind: StepGet, Actor: e.from, Peer: e.to,
-					Dst: Loc{Buf: BufScratch}, Src: Loc{Buf: BufStage},
-					Count: CountAll, Strided: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: e.from, Peer: -1,
-					Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufScratch},
-					Count: CountAll, DstStrided: true, SrcStrided: true,
-				})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
+	for _, level := range putTreeEdges(n) {
+		b.push(treeMoves(always(whole()), level), BufStage)
 	}
-	for _, edges := range putTreeEdges(n) {
-		r := Round{Name: "allreduce.round", Idx: idx}
-		idx++
-		for _, e := range edges {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepPut, Actor: e.from, Peer: e.to,
-				Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufStage},
-				Count: CountAll, Strided: true,
-			})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-			Count: CountAll, DstStrided: true, SrcStrided: true,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.deliverVector()
+	return b.done()
 }
 
 // binomialAllGatherPlan composes gather and broadcast over one staging
@@ -320,60 +174,19 @@ func binomialAllReducePlan(n int) *Plan {
 // unpacks the virtual-rank-ordered buffer to dest at the caller's
 // displacements.
 func binomialAllGatherPlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollAllGather, Algorithm: AlgoBinomial, Span: "allgather", NPEs: n,
 		Stage: BufTotal, Adj: AdjVector,
+	})
+	b.stageBlocks()
+	for _, level := range getTreeEdges(n) {
+		b.pull(treeMoves(subtreeOf, level))
 	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc},
-			Count: CountBlock, CV: v,
-		})
+	for _, level := range putTreeEdges(n) {
+		b.push(treeMoves(always(whole()), level), BufStage)
 	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
-	for _, edges := range getTreeEdges(n) {
-		r := Round{Name: "allgather.round", Idx: idx}
-		idx++
-		for _, e := range edges {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepGet, Actor: e.from, Peer: e.to,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-				Count: CountSubtree, CV: e.to, CB: e.bit, SkipIfZero: true,
-			})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
-	}
-	for _, edges := range putTreeEdges(n) {
-		r := Round{Name: "allgather.round", Idx: idx}
-		idx++
-		for _, e := range edges {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepPut, Actor: e.from, Peer: e.to,
-				Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufStage},
-				Count: CountAll,
-			})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffDisp, V: 0},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: 0},
-			Count: CountBlock, CV: 0, Blocks: n, BStride: 1,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.unpackVector()
+	return b.done()
 }
 
 func compileLinear(coll Collective, n int) *Plan {
@@ -390,123 +203,73 @@ func compileLinear(coll Collective, n int) *Plan {
 	return nil
 }
 
+// starMoves is the flat schedule: the root acts on every other PE in
+// turn, carrying w.
+func starMoves(n int, w piece) []move {
+	moves := make([]move, 0, n)
+	for v := 1; v < n; v++ {
+		moves = append(moves, move{actor: 0, peer: v, what: w})
+	}
+	return moves
+}
+
 // linearBroadcastPlan: the root puts the whole payload to every other
 // PE directly; a single barrier closes the exchange.
 func linearBroadcastPlan(n int) *Plan {
-	p := &Plan{Collective: CollBroadcast, Algorithm: AlgoLinear, Span: "broadcast_linear", NPEs: n}
-	r := Round{Name: "broadcast_linear.round", Idx: 0}
-	r.Steps = append(r.Steps, Step{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufSrc},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-		SkipIfAlias: true,
-	})
-	for v := 1; v < n; v++ {
-		r.Steps = append(r.Steps, Step{
-			Kind: StepPut, Actor: 0, Peer: v,
-			Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufDest},
-			Count: CountAll, Strided: true,
-		})
-	}
-	r.Steps = append(r.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, r)
-	return p
+	b := newBuilder(&Plan{Collective: CollBroadcast, Algorithm: AlgoLinear, Span: "broadcast_linear", NPEs: n})
+	b.round(b.transfers(b.seed(nil), StepPut, starMoves(n, whole()), BufDest), false)
+	return b.done()
 }
 
 // linearReducePlan: every PE stages its contribution, then the root
 // seeds dest with its own values and folds in each peer's staged
 // partial in turn.
 func linearReducePlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollReduce, Algorithm: AlgoLinear, Span: "reduce_linear", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
-	}
-	pro := Round{Idx: -1, Steps: stageAll(n)}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	r := Round{Name: "reduce_linear.round", Idx: 0}
-	r.Steps = append(r.Steps, Step{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
 	})
-	for v := 1; v < n; v++ {
-		r.Steps = append(r.Steps,
-			Step{
-				Kind: StepGet, Actor: 0, Peer: v,
-				Dst: Loc{Buf: BufScratch}, Src: Loc{Buf: BufStage},
-				Count: CountAll, Strided: true,
-			},
-			Step{
-				Kind: StepCombine, Actor: 0, Peer: -1,
-				Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufScratch},
-				Count: CountAll, DstStrided: true, SrcStrided: true,
-			})
-	}
-	r.Steps = append(r.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, r)
-	return p
+	b.stageVector()
+	b.round(b.folds(b.copy(nil, 0, whole(), BufDest, BufStage), starMoves(n, whole()), BufDest), false)
+	return b.done()
 }
 
 // linearScatterPlan: the root copies its own block and puts every
 // other PE's block straight from src — no staging buffer at all.
 func linearScatterPlan(n int) *Plan {
-	p := &Plan{Collective: CollScatter, Algorithm: AlgoLinear, Span: "scatter_linear", NPEs: n}
-	r := Round{Name: "scatter_linear.round", Idx: 0}
-	r.Steps = append(r.Steps, Step{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst:   Loc{Buf: BufDest},
-		Src:   Loc{Buf: BufSrc, Off: OffDisp, V: 0},
-		Count: CountBlock, CV: 0,
-	})
-	for v := 1; v < n; v++ {
-		r.Steps = append(r.Steps, Step{
-			Kind: StepPut, Actor: 0, Peer: v,
-			Dst:   Loc{Buf: BufDest},
-			Src:   Loc{Buf: BufSrc, Off: OffDisp, V: v},
-			Count: CountBlock, CV: v, SkipIfZero: true,
-		})
+	b := newBuilder(&Plan{Collective: CollScatter, Algorithm: AlgoLinear, Span: "scatter_linear", NPEs: n})
+	steps := make([]Step, 0, n+1)
+	for v := 0; v < n; v++ {
+		kind, peer := StepPut, v
+		if v == 0 {
+			kind, peer = StepCopy, -1
+		}
+		steps = b.step(steps, kind, 0, peer, Loc{Buf: BufDest}, block(v).at(OffDisp).in(BufSrc), block(v))
 	}
-	r.Steps = append(r.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, r)
-	return p
+	b.round(steps, false)
+	return b.done()
 }
 
 // linearGatherPlan: every PE stages its block, the root copies its own
 // and gets each peer's from the (single-block) staging buffer.
 func linearGatherPlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollGather, Algorithm: AlgoLinear, Span: "gather_linear", NPEs: n,
 		Stage: BufMaxBlock,
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	r := Round{Name: "gather_linear.round", Idx: 0}
-	r.Steps = append(r.Steps, Step{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst:   Loc{Buf: BufDest, Off: OffDisp, V: 0},
-		Src:   Loc{Buf: BufStage},
-		Count: CountBlock, CV: 0,
 	})
-	for v := 1; v < n; v++ {
-		r.Steps = append(r.Steps, Step{
-			Kind: StepGet, Actor: 0, Peer: v,
-			Dst:   Loc{Buf: BufDest, Off: OffDisp, V: v},
-			Src:   Loc{Buf: BufStage},
-			Count: CountBlock, CV: v, SkipIfZero: true,
-		})
+	b.local(b.perPE(func(steps []Step, v int) []Step {
+		return b.step(steps, StepCopy, v, -1, Loc{Buf: BufStage}, Loc{Buf: BufSrc}, block(v))
+	}), true)
+	steps := make([]Step, 0, n+1)
+	for v := 0; v < n; v++ {
+		kind, peer := StepGet, v
+		if v == 0 {
+			kind, peer = StepCopy, -1
+		}
+		steps = b.step(steps, kind, 0, peer, block(v).at(OffDisp).in(BufDest), Loc{Buf: BufStage}, block(v))
 	}
-	r.Steps = append(r.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, r)
-	return p
+	b.round(steps, false)
+	return b.done()
 }
 
 // compileScatterAllgather builds the van de Geijn large-message
@@ -520,72 +283,27 @@ func compileScatterAllgather(coll Collective, n int) *Plan {
 	if coll != CollBroadcast {
 		return nil
 	}
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollBroadcast, Algorithm: AlgoScatterAllgather,
 		Span: "broadcast_sag", NPEs: n,
 		Stage: BufTotal, Adj: AdjChunks,
-	}
+	})
 	// Scatter phase: the root loads the staging buffer chunk by chunk
 	// (the chunks are contiguous in both src and stage, so this is the
 	// reorder prologue of Algorithm 3 in the identity layout).
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: 0, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc, Off: OffAdj, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
-	for _, edges := range putTreeEdges(n) {
-		r := Round{Name: "broadcast_sag.round", Idx: idx}
-		idx++
-		for _, e := range edges {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepPut, Actor: e.from, Peer: e.to,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-				Count: CountSubtree, CV: e.to, CB: e.bit, SkipIfZero: true,
-			})
-		}
-		r.Steps = append(r.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, r)
+	b.stageRoot(OffAdj)
+	for _, level := range putTreeEdges(n) {
+		b.push(treeMoves(subtreeOf, level), BufStage)
 	}
 	// Each PE relocates its own chunk into dest so the all-gather can
 	// run in place; purely local, so no barrier is needed before the
 	// first ring round (the writes land in disjoint chunk slots).
-	mid := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		mid.Steps = append(mid.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	p.Rounds = append(p.Rounds, mid)
+	b.local(b.perPE(func(steps []Step, v int) []Step { return b.copy(steps, v, block(v), BufDest, BufStage) }), false)
 	// Ring all-gather: in round r every PE forwards the chunk it
 	// received r rounds ago to its right neighbour; after N−1 rounds
 	// everyone holds all chunks.
-	for r := 0; r < n-1; r++ {
-		rd := Round{Name: "broadcast_sag.round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			c := ((v-r)%n + n) % n
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepPut, Actor: v, Peer: (v + 1) % n,
-				Dst:   Loc{Buf: BufDest, Off: OffAdj, V: c},
-				Src:   Loc{Buf: BufDest, Off: OffAdj, V: c},
-				Count: CountBlock, CV: c, SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	return p
+	ringRounds([]ring{{k: n, step: 1, piece: block}}, ringOwned, func(m []move) { b.push(flip(m), BufDest) })
+	return b.done()
 }
 
 // compileDirect builds the one-sided direct exchange natural to xBGAS:
@@ -599,28 +317,20 @@ func compileDirect(coll Collective, n int) *Plan {
 	if coll != CollAlltoall {
 		return nil
 	}
-	p := &Plan{Collective: CollAlltoall, Algorithm: AlgoDirect, Span: "alltoall", NPEs: n}
-	r := Round{Name: "alltoall.round", Idx: 0, NB: true}
+	b := newBuilder(&Plan{Collective: CollAlltoall, Algorithm: AlgoDirect, Span: "alltoall", NPEs: n})
+	steps := make([]Step, 0, n*n+1)
 	for v := 0; v < n; v++ {
-		r.Steps = append(r.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffBlock, V: v},
-			Src:   Loc{Buf: BufSrc, Off: OffBlock, V: v},
-			Count: CountAll,
-		})
-		for off := 1; off < n; off++ {
-			peer := (v + off) % n
-			r.Steps = append(r.Steps, Step{
-				Kind: StepPut, Actor: v, Peer: peer,
-				Dst:   Loc{Buf: BufDest, Off: OffBlock, V: v},
-				Src:   Loc{Buf: BufSrc, Off: OffBlock, V: peer},
-				Count: CountAll,
-			})
+		for off := 0; off < n; off++ {
+			kind, peer := StepPut, (v+off)%n
+			if off == 0 {
+				kind, peer = StepCopy, -1
+			}
+			steps = b.step(steps, kind, v, peer,
+				Loc{Buf: BufDest, Off: OffBlock, V: v}, Loc{Buf: BufSrc, Off: OffBlock, V: (v + off) % n}, whole())
 		}
 	}
-	r.Steps = append(r.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, r)
-	return p
+	b.round(steps, true)
+	return b.done()
 }
 
 // The segmented planners: the same binomial trees, but the payload is
@@ -661,37 +371,16 @@ func compileBinomialSeg(coll Collective, n, segments int) *Plan {
 // the put tree, so emitting tree rounds in order keeps every actor's
 // wait ahead of its forwards.
 func segmentedBroadcastPlan(n, s int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollBroadcast, Algorithm: AlgoBinomial, Span: "broadcast", NPEs: n,
 		Segments: s, FlagWords: s, Depth: CeilLog2(n) + s - 1,
-	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufSrc},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-		SkipIfAlias: true,
-	}}})
-	edges := putTreeEdges(n)
+	})
+	b.seedRoot()
+	down := putTreeEdges(n)
 	for seg := 0; seg < s; seg++ {
-		r := Round{Name: "broadcast.round", Idx: seg, NB: true}
-		for _, round := range edges {
-			for _, e := range round {
-				r.Steps = append(r.Steps,
-					Step{Kind: StepWaitFlag, Actor: e.to, Peer: -1, Flag: seg},
-					Step{
-						Kind: StepPut, Actor: e.from, Peer: e.to,
-						Dst:   Loc{Buf: BufDest, Off: OffSeg, V: seg},
-						Src:   Loc{Buf: BufDest, Off: OffSeg, V: seg},
-						Count: CountSeg, CV: seg, Strided: true, SkipIfZero: true,
-					},
-					Step{Kind: StepSignal, Actor: e.from, Peer: e.to, Flag: seg},
-				)
-			}
-		}
-		p.Rounds = append(p.Rounds, r)
+		b.forward(treeMoves(always(segment(seg)), down...), BufDest, seg)
 	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{barrierStep()}})
-	return p
+	return b.done()
 }
 
 // segmentedReducePlan pipelines Algorithm 2: per segment, every PE
@@ -701,60 +390,17 @@ func segmentedBroadcastPlan(n, s int) *Plan {
 // {tree round, segment} because a PE's partial becomes ready once per
 // harvest round.
 func segmentedReducePlan(n, s int) *Plan {
-	rounds := getTreeEdges(n)
-	t := len(rounds)
-	p := &Plan{
+	up := getTreeEdges(n)
+	b := newBuilder(&Plan{
 		Collective: CollReduce, Algorithm: AlgoBinomial, Span: "reduce", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
-		Segments: s, FlagWords: t * s, Depth: t + s - 1,
-	}
+		Segments: s, FlagWords: len(up) * s, Depth: len(up) + s - 1,
+	})
 	for seg := 0; seg < s; seg++ {
-		r := Round{Name: "reduce.round", Idx: seg}
-		for v := 0; v < n; v++ {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepCopy, Actor: v, Peer: -1,
-				Dst:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-				Src:   Loc{Buf: BufSrc, Off: OffSeg, V: seg},
-				Count: CountSeg, CV: seg, DstStrided: true, SrcStrided: true,
-			})
-		}
-		appendSegReduceSteps(&r, rounds, s, seg, 0)
-		p.Rounds = append(p.Rounds, r)
+		b.harvest(segment(seg), up, func(t int) int { return t*s + seg })
 	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-	}, barrierStep()}})
-	return p
-}
-
-// appendSegReduceSteps emits one segment's get-tree fold into r: per
-// edge the owner signals flag flagBase+t·s+seg, the puller waits,
-// pulls the owner's staged segment into scratch, and combines it in.
-// The owner's signal is emitted at its harvest round, after its own
-// pull steps of earlier rounds, so actor order encodes the dependency.
-func appendSegReduceSteps(r *Round, rounds [][]treeEdge, s, seg, flagBase int) {
-	for t, edges := range rounds {
-		for _, e := range edges {
-			f := flagBase + t*s + seg
-			r.Steps = append(r.Steps,
-				Step{Kind: StepSignal, Actor: e.to, Peer: e.from, Flag: f},
-				Step{Kind: StepWaitFlag, Actor: e.from, Peer: -1, Flag: f},
-				Step{
-					Kind: StepGet, Actor: e.from, Peer: e.to,
-					Dst:   Loc{Buf: BufScratch, Off: OffSeg, V: seg},
-					Src:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-					Count: CountSeg, CV: seg, Strided: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: e.from, Peer: -1,
-					Dst:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-					Src:   Loc{Buf: BufScratch, Off: OffSeg, V: seg},
-					Count: CountSeg, CV: seg, DstStrided: true, SrcStrided: true,
-				})
-		}
-	}
+	b.deliverRoot()
+	return b.done()
 }
 
 // segmentedAllReducePlan interleaves the two phases per segment: fold
@@ -764,59 +410,18 @@ func appendSegReduceSteps(r *Round, rounds [][]treeEdge, s, seg, flagBase int) {
 // that slice (its harvest partner) finished before the root could have
 // completed the segment at all.
 func segmentedAllReducePlan(n, s int) *Plan {
-	up := getTreeEdges(n)
-	down := putTreeEdges(n)
-	t1 := len(up)
-	p := &Plan{
+	up, down := getTreeEdges(n), putTreeEdges(n)
+	b := newBuilder(&Plan{
 		Collective: CollAllReduce, Algorithm: AlgoBinomial, Span: "allreduce", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
-		Segments: s, FlagWords: (t1 + 1) * s, Depth: t1 + len(down) + 2*(s-1),
-	}
-	idx := 0
+		Segments: s, FlagWords: (len(up) + 1) * s, Depth: len(up) + len(down) + 2*(s-1),
+	})
 	for seg := 0; seg < s; seg++ {
-		r := Round{Name: "allreduce.round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepCopy, Actor: v, Peer: -1,
-				Dst:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-				Src:   Loc{Buf: BufSrc, Off: OffSeg, V: seg},
-				Count: CountSeg, CV: seg, DstStrided: true, SrcStrided: true,
-			})
-		}
-		appendSegReduceSteps(&r, up, s, seg, 0)
-		p.Rounds = append(p.Rounds, r)
-
-		rb := Round{Name: "allreduce.round", Idx: idx, NB: true}
-		idx++
-		f := t1*s + seg
-		for _, round := range down {
-			for _, e := range round {
-				rb.Steps = append(rb.Steps,
-					Step{Kind: StepWaitFlag, Actor: e.to, Peer: -1, Flag: f},
-					Step{
-						Kind: StepPut, Actor: e.from, Peer: e.to,
-						Dst:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-						Src:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-						Count: CountSeg, CV: seg, Strided: true, SkipIfZero: true,
-					},
-					Step{Kind: StepSignal, Actor: e.from, Peer: e.to, Flag: f},
-				)
-			}
-		}
-		p.Rounds = append(p.Rounds, rb)
+		b.harvest(segment(seg), up, func(t int) int { return t*s + seg })
+		b.forward(treeMoves(always(segment(seg)), down...), BufStage, len(up)*s+seg)
 	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-			Count: CountAll, DstStrided: true, SrcStrided: true,
-		})
-	}
-	epi.Steps = append(epi.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.deliverVector()
+	return b.done()
 }
 
 // pipelinedScatterPlan is Algorithm 3 with the per-round barriers
@@ -828,47 +433,13 @@ func segmentedAllReducePlan(n, s int) *Plan {
 // non-blocking round, so a sender's forwards to different children
 // overlap like the direct alltoall exchange.
 func pipelinedScatterPlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollScatter, Algorithm: AlgoBinomial, Span: "scatter", NPEs: n,
 		Stage: BufTotal, Adj: AdjVector,
 		FlagWords: 1, Depth: CeilLog2(n),
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: 0, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc, Off: OffDisp, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	p.Rounds = append(p.Rounds, pro)
-	r := Round{Name: "scatter.round", Idx: 0, NB: true}
-	for _, round := range putTreeEdges(n) {
-		for _, e := range round {
-			r.Steps = append(r.Steps,
-				Step{Kind: StepWaitFlag, Actor: e.to, Peer: -1, Flag: 0},
-				Step{
-					Kind: StepPut, Actor: e.from, Peer: e.to,
-					Dst:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-					Src:   Loc{Buf: BufStage, Off: OffAdj, V: e.to},
-					Count: CountSubtree, CV: e.to, CB: e.bit, SkipIfZero: true,
-				},
-				Step{Kind: StepSignal, Actor: e.from, Peer: e.to, Flag: 0},
-			)
-		}
-	}
-	p.Rounds = append(p.Rounds, r)
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	epi.Steps = append(epi.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	})
+	b.stageRoot(OffDisp)
+	b.forward(treeMoves(subtreeOf, putTreeEdges(n)...), BufStage, 0)
+	b.deliverBlock()
+	return b.done()
 }

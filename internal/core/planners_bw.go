@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // The bandwidth-optimal planners. The paper's binomial trees move the
 // whole payload ⌈log₂ n⌉ times through the root's port, which is
 // latency-optimal but leaves ~2x bandwidth on the table for large
@@ -83,74 +85,28 @@ func compileRabenseifner(coll Collective, n int) *Plan {
 	return nil
 }
 
-// ringChunk is the chunk PE v pulls from its left neighbour in
-// reduce-scatter round r: the partial its neighbour finished
-// accumulating in round r−1 (chunk (v−r−2) mod n), so after n−1 rounds
-// chunk v is fully reduced at PE v.
-func ringChunk(v, r, n int) int { return ((v-r-2)%n + n) % n }
-
-// appendRingRS emits the ring reduce-scatter rounds onto p: in round r
-// every PE pulls one chunk from its left neighbour into scratch and
-// folds it into its staged copy. Reads and writes of a round touch
-// adjacent chunk ids, so no PE ever reads a chunk its neighbour is
-// combining that round.
-func appendRingRS(p *Plan, n int, span string, idx int) int {
-	for r := 0; r < n-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			c := ringChunk(v, r, n)
-			rd.Steps = append(rd.Steps,
-				Step{
-					Kind: StepGet, Actor: v, Peer: (v - 1 + n) % n,
-					Dst:   Loc{Buf: BufScratch, Off: OffAdj, V: c},
-					Src:   Loc{Buf: BufStage, Off: OffAdj, V: c},
-					Count: CountBlock, CV: c, SkipIfZero: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: v, Peer: -1,
-					Dst:   Loc{Buf: BufStage, Off: OffAdj, V: c},
-					Src:   Loc{Buf: BufScratch, Off: OffAdj, V: c},
-					Count: CountBlock, CV: c,
-				})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	return idx
+// flatRing is the ring over all n PEs circulating what(c) as chunk c.
+func flatRing(n int, what func(c int) piece) []ring {
+	return []ring{{k: n, step: 1, piece: what}}
 }
 
 // ringReduceScatterBody builds the ring reduce-scatter under the given
 // algorithm name: stage the full contribution, run n−1 pull-and-fold
-// rounds, and land the PE's own fully-reduced chunk in dest.
+// rounds — every PE pulls one chunk from its left neighbour into
+// scratch and folds it into its staged copy; reads and writes of a
+// round touch adjacent chunk ids, so no PE ever reads a chunk its
+// neighbour is combining that round — and land the PE's own
+// fully-reduced chunk in dest.
 func ringReduceScatterBody(algo Algorithm, span string, n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollReduceScatter, Algorithm: algo, Span: span, NPEs: n,
 		Stage: BufTotal, Scratch: BufTotal, Adj: AdjChunks, UsesOp: true,
 		Chunked: true, Depth: n - 1,
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountAll,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	appendRingRS(p, n, span, 0)
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	})
+	b.stageVector()
+	ringRounds(flatRing(n, block), ringChunk, b.fold)
+	b.deliverBlock()
+	return b.done()
 }
 
 func ringReduceScatterPlan(n int) *Plan {
@@ -162,36 +118,16 @@ func ringReduceScatterPlan(n int) *Plan {
 // ago to the right neighbour — the all-gather phase of the van de Geijn
 // broadcast generalised to the caller's pe_msgs/pe_disp layout.
 func ringAllGatherBody(algo Algorithm, span string, n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollAllGather, Algorithm: algo, Span: span, NPEs: n,
 		Adj: AdjVector, Chunked: true, Depth: n - 1,
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffDisp, V: v},
-			Src:   Loc{Buf: BufSrc},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	for r := 0; r < n-1; r++ {
-		rd := Round{Name: span + ".round", Idx: r}
-		for v := 0; v < n; v++ {
-			u := ((v-r)%n + n) % n
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepPut, Actor: v, Peer: (v + 1) % n,
-				Dst:   Loc{Buf: BufDest, Off: OffDisp, V: u},
-				Src:   Loc{Buf: BufDest, Off: OffDisp, V: u},
-				Count: CountBlock, CV: u, SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	return p
+	})
+	placed := func(c int) piece { return block(c).at(OffDisp) }
+	b.local(b.perPE(func(steps []Step, v int) []Step {
+		return b.step(steps, StepCopy, v, -1, placed(v).in(BufDest), Loc{Buf: BufSrc}, placed(v))
+	}), true)
+	ringRounds(flatRing(n, placed), ringOwned, func(m []move) { b.push(flip(m), BufDest) })
+	return b.done()
 }
 
 func ringAllGatherPlan(n int) *Plan {
@@ -200,58 +136,39 @@ func ringAllGatherPlan(n int) *Plan {
 
 // ringAllReduceBody fuses reduce-scatter and allgather over one staging
 // buffer: n−1 pull-and-fold rounds leave PE v owning fully-reduced
-// chunk v, n−1 forwarding rounds circulate the reduced chunks, and
-// every PE copies the assembled vector to dest. Each PE moves
-// 2·(n−1)/n of the payload in total — the bandwidth-optimal volume.
+// chunk v, n−1 rounds pull the reduced chunks on round the ring
+// straight into the staged vector, and every PE copies the assembled
+// vector to dest. Each PE moves 2·(n−1)/n of the payload in total —
+// the bandwidth-optimal volume.
 func ringAllReduceBody(algo Algorithm, span string, n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollAllReduce, Algorithm: algo, Span: span, NPEs: n,
 		Stage: BufTotal, Scratch: BufTotal, Adj: AdjChunks, UsesOp: true,
 		Chunked: true, Depth: 2 * (n - 1),
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountAll, SrcStrided: true,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := appendRingRS(p, n, span, 0)
-	// Allgather phase: in round r the left neighbour finished owning
-	// chunk (v−1−r) mod n exactly r rounds ago; pull it straight into
-	// the staged vector.
-	for r := 0; r < n-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			c := ((v-1-r)%n + n) % n
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepGet, Actor: v, Peer: (v - 1 + n) % n,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: c},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: c},
-				Count: CountBlock, CV: c, SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-			Count: CountAll, DstStrided: true,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	})
+	b.stageVector()
+	ringRounds(flatRing(n, block), ringChunk, b.fold)
+	ringRounds(flatRing(n, block), ringOwned, b.pull)
+	b.deliverVector()
+	return b.done()
 }
 
 func ringAllReducePlan(n int) *Plan {
 	return ringAllReduceBody(AlgoRing, "allreduce_ring", n)
+}
+
+// chainEdges is the chain 0→1→…→n−1 as a degenerate tree, one link per
+// level: root-first for a broadcast, tail-first (rootward true) for a
+// reduce.
+func chainEdges(n int, rootward bool) [][]treeEdge {
+	levels := make([][]treeEdge, 0, n)
+	for a := 0; a < n-1; a++ {
+		levels = append(levels, []treeEdge{{from: a, to: a + 1}})
+	}
+	if rootward {
+		slices.Reverse(levels)
+	}
+	return levels
 }
 
 // ringBroadcastPlan chains the PEs 0→1→…→n−1, each hop forwarding the
@@ -259,63 +176,31 @@ func ringAllReducePlan(n int) *Plan {
 // it exists as the base shape of the pipelined form below, where the
 // chain is what makes every link carry each byte exactly once.
 func ringBroadcastPlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollBroadcast, Algorithm: AlgoRing, Span: "broadcast_ring", NPEs: n,
 		Chunked: true, Depth: n - 1,
+	})
+	b.seedRoot()
+	for _, link := range chainEdges(n, false) {
+		b.push(treeMoves(always(whole()), link), BufDest)
 	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufSrc},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-		SkipIfAlias: true,
-	}}})
-	for r := 0; r < n-1; r++ {
-		rd := Round{Name: "broadcast_ring.round", Idx: r}
-		rd.Steps = append(rd.Steps, Step{
-			Kind: StepPut, Actor: r, Peer: r + 1,
-			Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufDest},
-			Count: CountAll, Strided: true,
-		})
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	return p
+	return b.done()
 }
 
 // ringReducePlan is the chain read root-ward: PE a pulls the partial of
 // PE a+1 and folds it in, n−1 rounds from the tail to virtual rank 0.
 func ringReducePlan(n int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollReduce, Algorithm: AlgoRing, Span: "reduce_ring", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
 		Chunked: true, Depth: n - 1,
+	})
+	b.stageVector()
+	for _, link := range chainEdges(n, true) {
+		b.fold(treeMoves(always(whole()), link))
 	}
-	pro := Round{Idx: -1, Steps: stageAll(n)}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	for r := 0; r < n-1; r++ {
-		a := n - 2 - r
-		rd := Round{Name: "reduce_ring.round", Idx: r}
-		rd.Steps = append(rd.Steps,
-			Step{
-				Kind: StepGet, Actor: a, Peer: a + 1,
-				Dst: Loc{Buf: BufScratch}, Src: Loc{Buf: BufStage},
-				Count: CountAll, Strided: true,
-			},
-			Step{
-				Kind: StepCombine, Actor: a, Peer: -1,
-				Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufScratch},
-				Count: CountAll, DstStrided: true, SrcStrided: true,
-			},
-			barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-	}}})
-	return p
+	b.deliverRoot()
+	return b.done()
 }
 
 // ringBroadcastSegPlan streams S segments down the chain with flag
@@ -323,43 +208,20 @@ func ringReducePlan(n int) *Plan {
 // so all n−1 links are busy at once and the critical path is
 // (n−1)+(S−1) segment hops — against the pipelined tree's
 // ⌈log₂ n⌉+S−1 it trades depth for moving each byte once per link.
+// The tail forwards nothing but still waits on (consumes) its flag: an
+// unconsumed post outlives the flag block and would release the next
+// plan that reuses the address.
 func ringBroadcastSegPlan(n, s int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollBroadcast, Algorithm: AlgoRing, Span: "broadcast_ring", NPEs: n,
 		Segments: s, FlagWords: s, Depth: (n - 1) + (s - 1), Chunked: true,
-	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufSrc},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-		SkipIfAlias: true,
-	}}})
+	})
+	b.seedRoot()
+	chain := chainEdges(n, false)
 	for seg := 0; seg < s; seg++ {
-		r := Round{Name: "broadcast_ring.round", Idx: seg, NB: true}
-		for v := 0; v < n; v++ {
-			if v > 0 {
-				r.Steps = append(r.Steps, Step{Kind: StepWaitFlag, Actor: v, Peer: -1, Flag: seg})
-			}
-			if v == n-1 {
-				// The tail forwards nothing but must still consume its
-				// flag: an unconsumed post outlives the flag block and
-				// would release the next plan that reuses the address.
-				break
-			}
-			r.Steps = append(r.Steps,
-				Step{
-					Kind: StepPut, Actor: v, Peer: v + 1,
-					Dst:   Loc{Buf: BufDest, Off: OffSeg, V: seg},
-					Src:   Loc{Buf: BufDest, Off: OffSeg, V: seg},
-					Count: CountSeg, CV: seg, Strided: true, SkipIfZero: true,
-				},
-				Step{Kind: StepSignal, Actor: v, Peer: v + 1, Flag: seg},
-			)
-		}
-		p.Rounds = append(p.Rounds, r)
+		b.forward(treeMoves(always(segment(seg)), chain...), BufDest, seg)
 	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{barrierStep()}})
-	return p
+	return b.done()
 }
 
 // ringReduceSegPlan pipelines the chain reduce: per segment, PE a
@@ -367,134 +229,60 @@ func ringBroadcastSegPlan(n, s int) *Plan {
 // partial and combines it in, then (one link up, next emission) its own
 // predecessor does the same. The tail PE signals as soon as its slice
 // is staged, so segment k+1 climbs the chain while segment k is still
-// in flight. Flags are per {link, segment}: word a·S+seg posts to the
+// in flight. Links are emitted tail-first: actor a's fold (link a)
+// lands before its signal (link a−1), so actor order encodes the
+// dependency. Flags are per {link, segment}: word a·S+seg posts to the
 // puller of link a.
 func ringReduceSegPlan(n, s int) *Plan {
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollReduce, Algorithm: AlgoRing, Span: "reduce_ring", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
 		Segments: s, FlagWords: (n - 1) * s, Depth: (n - 1) + (s - 1), Chunked: true,
-	}
+	})
+	chain := chainEdges(n, true)
 	for seg := 0; seg < s; seg++ {
-		r := Round{Name: "reduce_ring.round", Idx: seg}
-		for v := 0; v < n; v++ {
-			r.Steps = append(r.Steps, Step{
-				Kind: StepCopy, Actor: v, Peer: -1,
-				Dst:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-				Src:   Loc{Buf: BufSrc, Off: OffSeg, V: seg},
-				Count: CountSeg, CV: seg, DstStrided: true, SrcStrided: true,
-			})
-		}
-		// Emit links tail-first: actor a's fold (link a) lands before
-		// its signal (link a−1), so actor order encodes the dependency.
-		for a := n - 2; a >= 0; a-- {
-			f := a*s + seg
-			r.Steps = append(r.Steps,
-				Step{Kind: StepSignal, Actor: a + 1, Peer: a, Flag: f},
-				Step{Kind: StepWaitFlag, Actor: a, Peer: -1, Flag: f},
-				Step{
-					Kind: StepGet, Actor: a, Peer: a + 1,
-					Dst:   Loc{Buf: BufScratch, Off: OffSeg, V: seg},
-					Src:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-					Count: CountSeg, CV: seg, Strided: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: a, Peer: -1,
-					Dst:   Loc{Buf: BufStage, Off: OffSeg, V: seg},
-					Src:   Loc{Buf: BufScratch, Off: OffSeg, V: seg},
-					Count: CountSeg, CV: seg, DstStrided: true, SrcStrided: true,
-				})
-		}
-		p.Rounds = append(p.Rounds, r)
+		b.harvest(segment(seg), chain, func(t int) int { return chain[t][0].from*s + seg })
 	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-	}, barrierStep()}})
-	return p
+	b.deliverRoot()
+	return b.done()
 }
 
-// log2 returns log₂ n for power-of-two n.
-func log2(n int) int {
-	r := 0
-	for (1 << r) < n {
-		r++
-	}
-	return r
-}
-
-// appendHalvingRS emits the recursive-halving reduce-scatter rounds:
-// in round k each PE exchanges with the partner across its group's
-// halving distance, pulling the half of the group's chunks that
-// contains its own and folding it in. After log₂ n rounds chunk v is
-// fully reduced at PE v. Regions are contiguous runs of chunks in
-// virtual-rank order, so OffAdj/CountSubtree express them exactly.
-func appendHalvingRS(p *Plan, n int, span string, idx int) int {
-	for k := 0; k < log2(n); k++ {
-		g := n >> k
-		half := g >> 1
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			base := v - v%g
-			keep := base
-			if v%g >= half {
-				keep = base + half
-			}
-			partner := v ^ half
-			rd.Steps = append(rd.Steps,
-				Step{
-					Kind: StepGet, Actor: v, Peer: partner,
-					Dst:   Loc{Buf: BufScratch, Off: OffAdj, V: keep},
-					Src:   Loc{Buf: BufStage, Off: OffAdj, V: keep},
-					Count: CountSubtree, CV: keep, CB: log2(half), SkipIfZero: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: v, Peer: -1,
-					Dst:   Loc{Buf: BufStage, Off: OffAdj, V: keep},
-					Src:   Loc{Buf: BufScratch, Off: OffAdj, V: keep},
-					Count: CountSubtree, CV: keep, CB: log2(half),
-				})
+// doublingRounds is the recursive-doubling allgather schedule for
+// power-of-two n: in round j PE v pulls the 2^j-chunk region its
+// partner v^2^j currently owns, doubling its own region. Regions are
+// contiguous runs of chunks in virtual-rank order, so a subtree piece
+// expresses them exactly. Time-reversed it is the recursive-halving
+// reduce-scatter: in round k each PE exchanges with the partner across
+// its group's halving distance, pulling the half of the group's chunks
+// that contains its own and folding it in, so after log₂ n rounds chunk
+// v is fully reduced at PE v.
+func doublingRounds(n int) [][]move {
+	rounds := make([][]move, CeilLog2(n))
+	for j := range rounds {
+		rounds[j] = make([]move, n)
+		for v := range rounds[j] {
+			partner := v ^ (1 << j)
+			rounds[j][v] = move{actor: v, peer: partner, what: subtree(partner&^((1<<j)-1), j)}
 		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
 	}
-	return idx
+	return rounds
 }
 
 // halvingReduceScatterPlan is the recursive-halving reduce-scatter for
 // power-of-two counts: log₂ n exchange rounds, each moving half the
 // surviving region, for (n−1)/n total payload volume per PE.
 func halvingReduceScatterPlan(n int) *Plan {
-	span := "reduce_scatter_rhd"
-	p := &Plan{
-		Collective: CollReduceScatter, Algorithm: AlgoRabenseifner, Span: span, NPEs: n,
+	b := newBuilder(&Plan{
+		Collective: CollReduceScatter, Algorithm: AlgoRabenseifner, Span: "reduce_scatter_rhd", NPEs: n,
 		Stage: BufTotal, Scratch: BufTotal, Adj: AdjChunks, UsesOp: true,
-		Chunked: true, Depth: log2(n),
+		Chunked: true, Depth: CeilLog2(n),
+	})
+	b.stageVector()
+	for _, moves := range timeReversed(doublingRounds(n)) {
+		b.fold(moves)
 	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountAll,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	appendHalvingRS(p, n, span, 0)
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.deliverBlock()
+	return b.done()
 }
 
 // doublingAllGatherPlan is the recursive-doubling allgather for
@@ -503,57 +291,16 @@ func halvingReduceScatterPlan(n int) *Plan {
 // partner's, like the binomial gather but with both directions busy
 // every round.
 func doublingAllGatherPlan(n int) *Plan {
-	span := "allgather_rhd"
-	p := &Plan{
-		Collective: CollAllGather, Algorithm: AlgoRabenseifner, Span: span, NPEs: n,
-		Stage: BufTotal, Adj: AdjVector, Chunked: true, Depth: log2(n),
+	b := newBuilder(&Plan{
+		Collective: CollAllGather, Algorithm: AlgoRabenseifner, Span: "allgather_rhd", NPEs: n,
+		Stage: BufTotal, Adj: AdjVector, Chunked: true, Depth: CeilLog2(n),
+	})
+	b.stageBlocks()
+	for _, moves := range doublingRounds(n) {
+		b.pull(moves)
 	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	appendDoublingAG(p, n, span, 0)
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffDisp, V: 0},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: 0},
-			Count: CountBlock, CV: 0, Blocks: n, BStride: 1,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
-}
-
-// appendDoublingAG emits the recursive-doubling allgather rounds onto
-// p: in round j PE v pulls the 2^j-chunk region its partner v^2^j
-// currently owns, doubling its own region.
-func appendDoublingAG(p *Plan, n int, span string, idx int) int {
-	for j := 0; j < log2(n); j++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			partner := v ^ (1 << j)
-			pbase := partner &^ ((1 << j) - 1)
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepGet, Actor: v, Peer: partner,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: pbase},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: pbase},
-				Count: CountSubtree, CV: pbase, CB: j, SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	return idx
+	b.unpackVector()
+	return b.done()
 }
 
 // rabenseifnerAllReducePlan is Rabenseifner's allreduce for
@@ -562,34 +309,20 @@ func appendDoublingAG(p *Plan, n int, span string, idx int) int {
 // payload volume per PE in 2·log₂ n rounds, against the binomial
 // composition's 2·log₂ n whole-payload rounds.
 func rabenseifnerAllReducePlan(n int) *Plan {
-	span := "allreduce_rab"
-	p := &Plan{
-		Collective: CollAllReduce, Algorithm: AlgoRabenseifner, Span: span, NPEs: n,
+	b := newBuilder(&Plan{
+		Collective: CollAllReduce, Algorithm: AlgoRabenseifner, Span: "allreduce_rab", NPEs: n,
 		Stage: BufTotal, Scratch: BufTotal, Adj: AdjChunks, UsesOp: true,
-		Chunked: true, Depth: 2 * log2(n),
+		Chunked: true, Depth: 2 * CeilLog2(n),
+	})
+	b.stageVector()
+	for _, moves := range timeReversed(doublingRounds(n)) {
+		b.fold(moves)
 	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountAll, SrcStrided: true,
-		})
+	for _, moves := range doublingRounds(n) {
+		b.pull(moves)
 	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := appendHalvingRS(p, n, span, 0)
-	appendDoublingAG(p, n, span, idx)
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-			Count: CountAll, DstStrided: true,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.deliverVector()
+	return b.done()
 }
 
 func init() {

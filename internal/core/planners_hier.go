@@ -30,17 +30,6 @@ package core
 // hierGroups returns the group count for n PEs at P per node.
 func hierGroups(n, P int) int { return (n + P - 1) / P }
 
-// hierGroupSize returns the population of group i (the last group may
-// be partial).
-func hierGroupSize(n, P, i int) int {
-	lo := i * P
-	hi := lo + P
-	if hi > n {
-		hi = n
-	}
-	return hi - lo
-}
-
 func compileHier(coll Collective, n int, sh Shape) *Plan {
 	P := sh.PerNode
 	if P < 1 || P > n {
@@ -65,6 +54,31 @@ func compileHier(coll Collective, n int, sh Shape) *Plan {
 	return nil
 }
 
+// nodeRings is one ring per node over its P members, all circulating
+// what(c) as chunk c.
+func nodeRings(g, P int, what func(c int) piece) []ring {
+	rings := make([]ring, g)
+	for i := range rings {
+		rings[i] = ring{k: P, base: i * P, step: 1, piece: what}
+	}
+	return rings
+}
+
+// railRings is one ring per rail — member m of each of the g nodes —
+// with rail m circulating what(m, c) as chunk c.
+func railRings(g, P int, what func(m, c int) piece) []ring {
+	rings := make([]ring, P)
+	for m := range rings {
+		rings[m] = ring{k: g, base: m, step: P, piece: func(c int) piece { return what(m, c) }}
+	}
+	return rings
+}
+
+// leaderRing is the ring over the g node leaders.
+func leaderRing(g, P int, what func(c int) piece) []ring {
+	return []ring{{k: g, step: P, piece: what}}
+}
+
 // hierRailAllReducePlan: intra-node ring reduce-scatter over P
 // superchunks of g blocks each, a per-rail inter-node ring
 // reduce-scatter + allgather on each member's superchunk, and an
@@ -73,123 +87,28 @@ func compileHier(coll Collective, n int, sh Shape) *Plan {
 // by the node width.
 func hierRailAllReducePlan(n, P int) *Plan {
 	g := n / P
-	span := "allreduce_hier"
-	p := &Plan{
-		Collective: CollAllReduce, Algorithm: AlgoHier, Span: span, NPEs: n,
+	b := newBuilder(&Plan{
+		Collective: CollAllReduce, Algorithm: AlgoHier, Span: "allreduce_hier", NPEs: n,
 		Stage: BufTotal, Scratch: BufTotal, Adj: AdjChunks, UsesOp: true,
 		Chunked: true, Depth: 2*(P-1) + 2*(g-1),
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountAll, SrcStrided: true,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
+	})
+	nodes := nodeRings(g, P, func(c int) piece { return run(c*g, g) })
+	rails := railRings(g, P, func(m, c int) piece { return block(m*g + c) })
+	b.stageVector()
 	// Phase 1: intra-node ring reduce-scatter over superchunks. After
 	// P−1 rounds member m holds superchunk m summed over its node.
-	for r := 0; r < P-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			i, m := v/P, v%P
-			peer := i*P + (m-1+P)%P
-			s := ringChunk(m, r, P) * g
-			rd.Steps = append(rd.Steps,
-				Step{
-					Kind: StepGet, Actor: v, Peer: peer,
-					Dst:   Loc{Buf: BufScratch, Off: OffAdj, V: s},
-					Src:   Loc{Buf: BufStage, Off: OffAdj, V: s},
-					Count: CountRun, CV: s, CB: g, SkipIfZero: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: v, Peer: -1,
-					Dst:   Loc{Buf: BufStage, Off: OffAdj, V: s},
-					Src:   Loc{Buf: BufScratch, Off: OffAdj, V: s},
-					Count: CountRun, CV: s, CB: g,
-				})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
+	ringRounds(nodes, ringChunk, b.fold)
 	// Phase 2a: per-rail inter-node ring reduce-scatter — rail m
 	// distributes superchunk m's g blocks over the g nodes. After g−1
 	// rounds member m of node i holds block m·g+i globally reduced.
-	for r := 0; r < g-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			i, m := v/P, v%P
-			peer := ((i-1+g)%g)*P + m
-			c := m*g + ringChunk(i, r, g)
-			rd.Steps = append(rd.Steps,
-				Step{
-					Kind: StepGet, Actor: v, Peer: peer,
-					Dst:   Loc{Buf: BufScratch, Off: OffAdj, V: c},
-					Src:   Loc{Buf: BufStage, Off: OffAdj, V: c},
-					Count: CountBlock, CV: c, SkipIfZero: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: v, Peer: -1,
-					Dst:   Loc{Buf: BufStage, Off: OffAdj, V: c},
-					Src:   Loc{Buf: BufScratch, Off: OffAdj, V: c},
-					Count: CountBlock, CV: c,
-				})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
+	ringRounds(rails, ringChunk, b.fold)
 	// Phase 2b: per-rail inter-node ring allgather of the reduced
 	// blocks; every rail member ends with superchunk m complete.
-	for r := 0; r < g-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			i, m := v/P, v%P
-			peer := ((i-1+g)%g)*P + m
-			c := m*g + ((i-1-r)%g+g)%g
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepGet, Actor: v, Peer: peer,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: c},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: c},
-				Count: CountBlock, CV: c, SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
+	ringRounds(rails, ringOwned, b.pull)
 	// Phase 3: intra-node ring allgather of the superchunks.
-	for r := 0; r < P-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			i, m := v/P, v%P
-			peer := i*P + (m-1+P)%P
-			s := ((m-1-r)%P + P) % P * g
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepGet, Actor: v, Peer: peer,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: s},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: s},
-				Count: CountRun, CV: s, CB: g, SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-			Count: CountAll, DstStrided: true,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	ringRounds(nodes, ringOwned, b.pull)
+	b.deliverVector()
+	return b.done()
 }
 
 // hierLeaderAllReducePlan: binomial reduce of the full vector to each
@@ -198,144 +117,29 @@ func hierRailAllReducePlan(n, P int) *Plan {
 // node. Handles uneven node populations (the last node may be partial).
 func hierLeaderAllReducePlan(n, P int) *Plan {
 	g := hierGroups(n, P)
-	span := "allreduce_hier"
-	p := &Plan{
-		Collective: CollAllReduce, Algorithm: AlgoHier, Span: span, NPEs: n,
+	b := newBuilder(&Plan{
+		Collective: CollAllReduce, Algorithm: AlgoHier, Span: "allreduce_hier", NPEs: n,
 		Stage: BufTotal, Scratch: BufTotal, Adj: AdjChunks, UsesOp: true,
 		Chunked: true, Depth: 2*CeilLog2(P) + 2*(g-1),
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountAll, SrcStrided: true,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
+	})
+	b.stageVector()
 	// Phase 1: intra-node binomial get-tree reduce of the full vector,
-	// rounds aligned across groups so one barrier closes each level.
-	edgesBy := make([][][]treeEdge, g)
-	intraRounds := 0
-	for i := 0; i < g; i++ {
-		edgesBy[i] = getTreeEdges(hierGroupSize(n, P, i))
-		if len(edgesBy[i]) > intraRounds {
-			intraRounds = len(edgesBy[i])
-		}
-	}
-	for j := 0; j < intraRounds; j++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			if j >= len(edgesBy[i]) {
-				continue
-			}
-			base := i * P
-			for _, e := range edgesBy[i][j] {
-				rd.Steps = append(rd.Steps,
-					Step{
-						Kind: StepGet, Actor: base + e.from, Peer: base + e.to,
-						Dst: Loc{Buf: BufScratch}, Src: Loc{Buf: BufStage},
-						Count: CountAll,
-					},
-					Step{
-						Kind: StepCombine, Actor: base + e.from, Peer: -1,
-						Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufScratch},
-						Count: CountAll,
-					})
-			}
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
+	// levels aligned across nodes so one barrier closes each.
+	for _, level := range groupTrees(n, P, getTreeEdges) {
+		b.fold(treeMoves(always(whole()), level))
 	}
 	// Phase 2: ring reduce-scatter + allgather over the leaders on g
 	// near-equal runs of chunk blocks (run s = blocks [s·n/g, (s+1)·n/g)).
-	bounds := make([]int, g+1)
-	for s := 0; s <= g; s++ {
-		bounds[s] = s * n / g
-	}
-	for r := 0; r < g-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			peer := ((i - 1 + g) % g) * P
-			s := ringChunk(i, r, g)
-			cv, cb := bounds[s], bounds[s+1]-bounds[s]
-			rd.Steps = append(rd.Steps,
-				Step{
-					Kind: StepGet, Actor: i * P, Peer: peer,
-					Dst:   Loc{Buf: BufScratch, Off: OffAdj, V: cv},
-					Src:   Loc{Buf: BufStage, Off: OffAdj, V: cv},
-					Count: CountRun, CV: cv, CB: cb, SkipIfZero: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: i * P, Peer: -1,
-					Dst:   Loc{Buf: BufStage, Off: OffAdj, V: cv},
-					Src:   Loc{Buf: BufScratch, Off: OffAdj, V: cv},
-					Count: CountRun, CV: cv, CB: cb,
-				})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	for r := 0; r < g-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			peer := ((i - 1 + g) % g) * P
-			s := ((i-1-r)%g + g) % g
-			cv, cb := bounds[s], bounds[s+1]-bounds[s]
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepGet, Actor: i * P, Peer: peer,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: cv},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: cv},
-				Count: CountRun, CV: cv, CB: cb, SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
+	leaders := leaderRing(g, P, func(s int) piece { return run(s*n/g, (s+1)*n/g-s*n/g) })
+	ringRounds(leaders, ringChunk, b.fold)
+	ringRounds(leaders, ringOwned, b.pull)
 	// Phase 3: intra-node binomial put-tree broadcast of the reduced
 	// vector.
-	putBy := make([][][]treeEdge, g)
-	intraRounds = 0
-	for i := 0; i < g; i++ {
-		putBy[i] = putTreeEdges(hierGroupSize(n, P, i))
-		if len(putBy[i]) > intraRounds {
-			intraRounds = len(putBy[i])
-		}
+	for _, level := range groupTrees(n, P, putTreeEdges) {
+		b.push(treeMoves(always(whole()), level), BufStage)
 	}
-	for j := 0; j < intraRounds; j++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			if j >= len(putBy[i]) {
-				continue
-			}
-			base := i * P
-			for _, e := range putBy[i][j] {
-				rd.Steps = append(rd.Steps, Step{
-					Kind: StepPut, Actor: base + e.from, Peer: base + e.to,
-					Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufStage},
-					Count: CountAll,
-				})
-			}
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-			Count: CountAll, DstStrided: true,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.deliverVector()
+	return b.done()
 }
 
 // hierRailAllGatherPlan: a per-rail inter-node ring allgather collects
@@ -345,74 +149,20 @@ func hierLeaderAllReducePlan(n, P int) *Plan {
 // across the node — 1/P of the flat ring's crossings.
 func hierRailAllGatherPlan(n, P int) *Plan {
 	g := n / P
-	span := "allgather_hier"
-	p := &Plan{
-		Collective: CollAllGather, Algorithm: AlgoHier, Span: span, NPEs: n,
+	b := newBuilder(&Plan{
+		Collective: CollAllGather, Algorithm: AlgoHier, Span: "allgather_hier", NPEs: n,
 		Stage: BufTotal, Adj: AdjVector, Chunked: true,
 		Depth: (g - 1) + (P - 1),
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
+	})
+	b.stageBlocks()
 	// Phase A: rail ring allgather over the nodes — member m of node i
 	// collects column m (blocks ≡ m mod P) from its rail.
-	for r := 0; r < g-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			i, m := v/P, v%P
-			peer := ((i-1+g)%g)*P + m
-			b := ((i-1-r)%g+g)%g*P + m
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepGet, Actor: v, Peer: peer,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: b},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: b},
-				Count: CountBlock, CV: b, SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
+	ringRounds(railRings(g, P, func(m, c int) piece { return block(c*P + m) }), ringOwned, b.pull)
 	// Phase B: intra-node ring allgather of whole columns; one
 	// multi-block get moves the g blocks of column m' per hop.
-	for r := 0; r < P-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			i, m := v/P, v%P
-			peer := i*P + (m-1+P)%P
-			mp := ((m-1-r)%P + P) % P
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepGet, Actor: v, Peer: peer,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: mp},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: mp},
-				Count: CountBlock, CV: mp, SkipIfZero: true,
-				Blocks: g, BStride: P,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffDisp, V: 0},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: 0},
-			Count: CountBlock, CV: 0, Blocks: n, BStride: 1,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	ringRounds(nodeRings(g, P, func(c int) piece { return block(c).every(g, P) }), ringOwned, b.pull)
+	b.unpackVector()
+	return b.done()
 }
 
 // hierLeaderAllGatherPlan: binomial gather of each node's blocks to its
@@ -420,117 +170,28 @@ func hierRailAllGatherPlan(n, P int) *Plan {
 // binomial broadcast of the assembled vector back inside each node.
 func hierLeaderAllGatherPlan(n, P int) *Plan {
 	g := hierGroups(n, P)
-	span := "allgather_hier"
-	p := &Plan{
-		Collective: CollAllGather, Algorithm: AlgoHier, Span: span, NPEs: n,
+	b := newBuilder(&Plan{
+		Collective: CollAllGather, Algorithm: AlgoHier, Span: "allgather_hier", NPEs: n,
 		Stage: BufTotal, Adj: AdjVector, Chunked: true,
 		Depth: 2*CeilLog2(P) + (g - 1),
-	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
-	// Phase 1: intra-node binomial gather, rounds aligned across groups.
-	// Subtree runs are clipped to the group, so CountRun carries the
-	// explicit block count instead of CountSubtree's global clip.
-	edgesBy := make([][][]treeEdge, g)
-	intraRounds := 0
-	for i := 0; i < g; i++ {
-		edgesBy[i] = getTreeEdges(hierGroupSize(n, P, i))
-		if len(edgesBy[i]) > intraRounds {
-			intraRounds = len(edgesBy[i])
-		}
-	}
-	for j := 0; j < intraRounds; j++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			if j >= len(edgesBy[i]) {
-				continue
-			}
-			base, size := i*P, hierGroupSize(n, P, i)
-			for _, e := range edgesBy[i][j] {
-				run := 1 << uint(e.bit)
-				if size-e.to < run {
-					run = size - e.to
-				}
-				rd.Steps = append(rd.Steps, Step{
-					Kind: StepGet, Actor: base + e.from, Peer: base + e.to,
-					Dst:   Loc{Buf: BufStage, Off: OffAdj, V: base + e.to},
-					Src:   Loc{Buf: BufStage, Off: OffAdj, V: base + e.to},
-					Count: CountRun, CV: base + e.to, CB: run, SkipIfZero: true,
-				})
-			}
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
+	})
+	b.stageBlocks()
+	// Phase 1: intra-node binomial gather, levels aligned across nodes.
+	// Subtree runs are clipped to the node, so a run carries the
+	// explicit block count instead of a subtree's global clip.
+	for _, level := range groupTrees(n, P, getTreeEdges) {
+		b.pull(treeMoves(func(e treeEdge) piece {
+			return run(e.to, min(1<<e.bit, min((e.to/P+1)*P, n)-e.to))
+		}, level))
 	}
 	// Phase 2: ring allgather of whole node runs over the leaders.
-	for r := 0; r < g-1; r++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			peer := ((i - 1 + g) % g) * P
-			s := ((i-1-r)%g + g) % g
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepGet, Actor: i * P, Peer: peer,
-				Dst:   Loc{Buf: BufStage, Off: OffAdj, V: s * P},
-				Src:   Loc{Buf: BufStage, Off: OffAdj, V: s * P},
-				Count: CountRun, CV: s * P, CB: hierGroupSize(n, P, s),
-				SkipIfZero: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
+	ringRounds(leaderRing(g, P, func(s int) piece { return run(s*P, min(P, n-s*P)) }), ringOwned, b.pull)
 	// Phase 3: intra-node binomial broadcast of the assembled vector.
-	putBy := make([][][]treeEdge, g)
-	intraRounds = 0
-	for i := 0; i < g; i++ {
-		putBy[i] = putTreeEdges(hierGroupSize(n, P, i))
-		if len(putBy[i]) > intraRounds {
-			intraRounds = len(putBy[i])
-		}
+	for _, level := range groupTrees(n, P, putTreeEdges) {
+		b.push(treeMoves(always(run(0, n).at(OffZero)), level), BufStage)
 	}
-	for j := 0; j < intraRounds; j++ {
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			if j >= len(putBy[i]) {
-				continue
-			}
-			base := i * P
-			for _, e := range putBy[i][j] {
-				rd.Steps = append(rd.Steps, Step{
-					Kind: StepPut, Actor: base + e.from, Peer: base + e.to,
-					Dst:   Loc{Buf: BufStage, Off: OffZero},
-					Src:   Loc{Buf: BufStage, Off: OffZero},
-					Count: CountRun, CV: 0, CB: n, SkipIfZero: true,
-				})
-			}
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffDisp, V: 0},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: 0},
-			Count: CountBlock, CV: 0, Blocks: n, BStride: 1,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.unpackVector()
+	return b.done()
 }
 
 // hierBroadcastPlan: a binomial put tree over the node leaders, then
@@ -539,58 +200,15 @@ func hierLeaderAllGatherPlan(n, P int) *Plan {
 // tree's ⌈log₂ n⌉.
 func hierBroadcastPlan(n, P int) *Plan {
 	g := hierGroups(n, P)
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollBroadcast, Algorithm: AlgoHier, Span: "broadcast_hier",
 		NPEs: n, Chunked: true, Depth: CeilLog2(g) + CeilLog2(P),
+	})
+	b.seedRoot()
+	for _, level := range append(leaderTrees(g, P, putTreeEdges), groupTrees(n, P, putTreeEdges)...) {
+		b.push(treeMoves(always(whole()), level), BufDest)
 	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufSrc},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-		SkipIfAlias: true,
-	}}})
-	idx := 0
-	for _, edges := range putTreeEdges(g) {
-		rd := Round{Name: "broadcast_hier.round", Idx: idx}
-		idx++
-		for _, e := range edges {
-			rd.Steps = append(rd.Steps, Step{
-				Kind: StepPut, Actor: e.from * P, Peer: e.to * P,
-				Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufDest},
-				Count: CountAll, Strided: true,
-			})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	putBy := make([][][]treeEdge, g)
-	intraRounds := 0
-	for i := 0; i < g; i++ {
-		putBy[i] = putTreeEdges(hierGroupSize(n, P, i))
-		if len(putBy[i]) > intraRounds {
-			intraRounds = len(putBy[i])
-		}
-	}
-	for j := 0; j < intraRounds; j++ {
-		rd := Round{Name: "broadcast_hier.round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			if j >= len(putBy[i]) {
-				continue
-			}
-			base := i * P
-			for _, e := range putBy[i][j] {
-				rd.Steps = append(rd.Steps, Step{
-					Kind: StepPut, Actor: base + e.from, Peer: base + e.to,
-					Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufDest},
-					Count: CountAll, Strided: true,
-				})
-			}
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	return p
+	return b.done()
 }
 
 // hierReducePlan: aligned binomial get trees inside every node reduce
@@ -599,73 +217,17 @@ func hierBroadcastPlan(n, P int) *Plan {
 // binomial reduce.
 func hierReducePlan(n, P int) *Plan {
 	g := hierGroups(n, P)
-	p := &Plan{
+	b := newBuilder(&Plan{
 		Collective: CollReduce, Algorithm: AlgoHier, Span: "reduce_hier", NPEs: n,
 		Stage: BufSpan, Scratch: BufSpan, UsesOp: true,
 		Depth: CeilLog2(P) + CeilLog2(g),
+	})
+	b.stageVector()
+	for _, level := range append(groupTrees(n, P, getTreeEdges), leaderTrees(g, P, getTreeEdges)...) {
+		b.fold(treeMoves(always(whole()), level))
 	}
-	pro := Round{Idx: -1, Steps: stageAll(n)}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
-	edgesBy := make([][][]treeEdge, g)
-	intraRounds := 0
-	for i := 0; i < g; i++ {
-		edgesBy[i] = getTreeEdges(hierGroupSize(n, P, i))
-		if len(edgesBy[i]) > intraRounds {
-			intraRounds = len(edgesBy[i])
-		}
-	}
-	for j := 0; j < intraRounds; j++ {
-		rd := Round{Name: "reduce_hier.round", Idx: idx}
-		idx++
-		for i := 0; i < g; i++ {
-			if j >= len(edgesBy[i]) {
-				continue
-			}
-			base := i * P
-			for _, e := range edgesBy[i][j] {
-				rd.Steps = append(rd.Steps,
-					Step{
-						Kind: StepGet, Actor: base + e.from, Peer: base + e.to,
-						Dst: Loc{Buf: BufScratch}, Src: Loc{Buf: BufStage},
-						Count: CountAll, Strided: true,
-					},
-					Step{
-						Kind: StepCombine, Actor: base + e.from, Peer: -1,
-						Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufScratch},
-						Count: CountAll, DstStrided: true, SrcStrided: true,
-					})
-			}
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	for _, edges := range getTreeEdges(g) {
-		rd := Round{Name: "reduce_hier.round", Idx: idx}
-		idx++
-		for _, e := range edges {
-			rd.Steps = append(rd.Steps,
-				Step{
-					Kind: StepGet, Actor: e.from * P, Peer: e.to * P,
-					Dst: Loc{Buf: BufScratch}, Src: Loc{Buf: BufStage},
-					Count: CountAll, Strided: true,
-				},
-				Step{
-					Kind: StepCombine, Actor: e.from * P, Peer: -1,
-					Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufScratch},
-					Count: CountAll, DstStrided: true, SrcStrided: true,
-				})
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	p.Rounds = append(p.Rounds, Round{Idx: -1, Steps: []Step{{
-		Kind: StepCopy, Actor: 0, Peer: -1,
-		Dst: Loc{Buf: BufDest}, Src: Loc{Buf: BufStage},
-		Count: CountAll, DstStrided: true, SrcStrided: true,
-	}}})
-	return p
+	b.deliverRoot()
+	return b.done()
 }
 
 func init() {

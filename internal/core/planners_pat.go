@@ -25,80 +25,44 @@ func compilePAT(coll Collective, n int) *Plan {
 	return nil
 }
 
-// patRunSteps appends to steps one get per contiguous piece of the
-// block run [start, start+length) mod n: the run lives at the same
-// adjusted offsets on both sides, landing in dst.
-func patRunSteps(steps []Step, v, peer, start, length, n int, dstBuf BufRef) []Step {
-	s1 := start % n
-	l1 := length
-	if s1+l1 > n {
-		l1 = n - s1
+// patRounds is the allgather schedule: in round k PE v pulls from peer
+// (v+2^k) mod n the run of min(2^k, n−2^k) blocks starting at the
+// peer's own — exactly the blocks v is missing next. A run that wraps
+// past block n−1 is two consecutive moves, one per contiguous half.
+// Writer and read runs of a round are disjoint (the peer writes blocks
+// 2^k further along, and 2^k + run ≤ n), so no barrier-free hazard
+// exists within a round.
+func patRounds(n int) [][]move {
+	var rounds [][]move
+	for d := 1; d < n; d <<= 1 {
+		length := min(d, n-d)
+		moves := make([]move, 0, n+length)
+		for v := 0; v < n; v++ {
+			peer := (v + d) % n
+			first := min(length, n-peer)
+			moves = append(moves, move{actor: v, peer: peer, what: run(peer, first)})
+			if first < length {
+				moves = append(moves, move{actor: v, peer: peer, what: run(0, length-first)})
+			}
+		}
+		rounds = append(rounds, moves)
 	}
-	steps = append(steps, Step{
-		Kind: StepGet, Actor: v, Peer: peer,
-		Dst:   Loc{Buf: dstBuf, Off: OffAdj, V: s1},
-		Src:   Loc{Buf: BufStage, Off: OffAdj, V: s1},
-		Count: CountRun, CV: s1, CB: l1, SkipIfZero: true,
-	})
-	if l1 < length {
-		l2 := length - l1
-		steps = append(steps, Step{
-			Kind: StepGet, Actor: v, Peer: peer,
-			Dst:   Loc{Buf: dstBuf, Off: OffAdj, V: 0},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: 0},
-			Count: CountRun, CV: 0, CB: l2, SkipIfZero: true,
-		})
-	}
-	return steps
+	return rounds
 }
 
 // patAllGatherPlan: every PE plants its own block at its adjusted
-// offset; in round k PE v pulls from peer (v+2^k) mod n the run of
-// min(2^k, n−2^k) blocks starting at the peer's own — exactly the
-// blocks v is missing next. Writer and read runs of a round are
-// disjoint (the peer writes blocks 2^k further along, and
-// 2^k + run ≤ n), so no barrier-free hazard exists within a round.
+// offset, then pulls along patRounds.
 func patAllGatherPlan(n int) *Plan {
-	span := "allgather_pat"
-	p := &Plan{
-		Collective: CollAllGather, Algorithm: AlgoPAT, Span: span, NPEs: n,
+	b := newBuilder(&Plan{
+		Collective: CollAllGather, Algorithm: AlgoPAT, Span: "allgather_pat", NPEs: n,
 		Stage: BufTotal, Adj: AdjVector, Chunked: true, Depth: CeilLog2(n),
+	})
+	b.stageBlocks()
+	for _, moves := range patRounds(n) {
+		b.pull(moves)
 	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Src:   Loc{Buf: BufSrc},
-			Count: CountBlock, CV: v,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	for k := 0; (1 << k) < n; k++ {
-		d := 1 << k
-		l := d
-		if n-d < l {
-			l = n - d
-		}
-		rd := Round{Name: span + ".round", Idx: k}
-		for v := 0; v < n; v++ {
-			rd.Steps = patRunSteps(rd.Steps, v, (v+d)%n, v+d, l, n, BufStage)
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest, Off: OffDisp, V: 0},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: 0},
-			Count: CountBlock, CV: 0, Blocks: n, BStride: 1,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.unpackVector()
+	return b.done()
 }
 
 // patReduceScatterPlan is the allgather run time-reversed: rounds run
@@ -110,62 +74,17 @@ func patAllGatherPlan(n int) *Plan {
 // sets merged at each fold are disjoint for the same reason the forward
 // runs never overlap.
 func patReduceScatterPlan(n int) *Plan {
-	span := "reduce_scatter_pat"
-	p := &Plan{
-		Collective: CollReduceScatter, Algorithm: AlgoPAT, Span: span, NPEs: n,
+	b := newBuilder(&Plan{
+		Collective: CollReduceScatter, Algorithm: AlgoPAT, Span: "reduce_scatter_pat", NPEs: n,
 		Stage: BufTotal, Scratch: BufTotal, Adj: AdjChunks, UsesOp: true,
 		Chunked: true, Depth: CeilLog2(n),
+	})
+	b.stageVector()
+	for _, moves := range timeReversed(patRounds(n)) {
+		b.fold(moves)
 	}
-	pro := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		pro.Steps = append(pro.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst: Loc{Buf: BufStage}, Src: Loc{Buf: BufSrc},
-			Count: CountAll,
-		})
-	}
-	pro.Steps = append(pro.Steps, barrierStep())
-	p.Rounds = append(p.Rounds, pro)
-	idx := 0
-	for k := CeilLog2(n) - 1; k >= 0; k-- {
-		d := 1 << k
-		if d >= n {
-			continue
-		}
-		l := d
-		if n-d < l {
-			l = n - d
-		}
-		rd := Round{Name: span + ".round", Idx: idx}
-		idx++
-		for v := 0; v < n; v++ {
-			peer := (v - d + n) % n
-			pre := len(rd.Steps)
-			rd.Steps = patRunSteps(rd.Steps, v, peer, v, l, n, BufScratch)
-			// Fold each landed piece into the staged partial.
-			for _, g := range rd.Steps[pre:] {
-				rd.Steps = append(rd.Steps, Step{
-					Kind: StepCombine, Actor: v, Peer: -1,
-					Dst:   Loc{Buf: BufStage, Off: OffAdj, V: g.CV},
-					Src:   Loc{Buf: BufScratch, Off: OffAdj, V: g.CV},
-					Count: CountRun, CV: g.CV, CB: g.CB,
-				})
-			}
-		}
-		rd.Steps = append(rd.Steps, barrierStep())
-		p.Rounds = append(p.Rounds, rd)
-	}
-	epi := Round{Idx: -1}
-	for v := 0; v < n; v++ {
-		epi.Steps = append(epi.Steps, Step{
-			Kind: StepCopy, Actor: v, Peer: -1,
-			Dst:   Loc{Buf: BufDest},
-			Src:   Loc{Buf: BufStage, Off: OffAdj, V: v},
-			Count: CountBlock, CV: v,
-		})
-	}
-	p.Rounds = append(p.Rounds, epi)
-	return p
+	b.deliverBlock()
+	return b.done()
 }
 
 func init() {
