@@ -169,14 +169,6 @@ func LoadTuning(path string) (Tuning, error) {
 	return t, nil
 }
 
-// CostModel prices a plan for a call moving nelems elements of width
-// bytes under the current tuning table. It is the projection AlgoAuto
-// minimises over; exposed so -algo list and the docs' crossover tables
-// can print the same numbers selection uses.
-func CostModel(p *Plan, nelems, width int) float64 {
-	return PlanCost(p, CurrentTuning(), nelems, width)
-}
-
 // PlanCost prices a plan under an explicit tuning table, in modelled
 // nanoseconds; it is PlanCostShape over the flat shape.
 func PlanCost(p *Plan, tn Tuning, nelems, width int) float64 {
@@ -453,7 +445,7 @@ func rootedColl(coll Collective) bool {
 // chooseAuto resolves AlgoAuto: with ≤ 2 PEs tree depth buys nothing
 // and the flat algorithm's bookkeeping is cheapest (when it implements
 // the collective); small payloads stay on the paper's binomial tree;
-// otherwise the argmin of CostModel over the registered planners. The
+// otherwise the argmin of PlanCostShape over the registered planners. The
 // large-message scatter+all-gather broadcast stays an explicit opt-in
 // — its advantage assumes bisection bandwidth the default fabric does
 // not have.

@@ -30,8 +30,8 @@
 // tools/gen expands across the full dtype × operator matrix — see
 // docs/API_SURFACE.md.
 //
-// Linear (flat) variants of all four collectives serve as the
-// algorithmic baseline for the §4.1 discussion that no single algorithm
+// Linear (flat) plans of all four collectives (AlgoLinear through the
+// *With entry points) serve as the algorithmic baseline for the §4.1 discussion that no single algorithm
 // wins everywhere, and an Algorithm selector provides the runtime
 // dispatch hook the paper plans for.
 package core

@@ -360,7 +360,7 @@ func TestAutoSelectsLargeMessageAlgorithm(t *testing.T) {
 	// Scatter+all-gather is explicit opt-in: its advantage assumes
 	// bisection bandwidth the default fabric does not have, so auto
 	// never selects it whatever the size.
-	big := LargeMessageBytes / 8
+	big := (16 << 10) / 8 // 16 KiB of int64
 	if got := AlgoAuto.Select(CollBroadcast, 8, big, 8); got == AlgoScatterAllgather {
 		t.Errorf("auto(large broadcast) picked the opt-in algorithm %s", got)
 	}
@@ -379,7 +379,7 @@ func TestAutoSelectsLargeMessageAlgorithm(t *testing.T) {
 	// dispatch must fall back to the tree.
 	runSPMD(t, 4, func(pe *xbrtime.PE) error {
 		dt := xbrtime.TypeInt64
-		n := LargeMessageBytes / 8
+		n := big
 		dest, err := pe.Malloc(uint64(2*n+1) * 8)
 		if err != nil {
 			return err

@@ -59,15 +59,6 @@ const (
 	AlgoPAT Algorithm = "pat"
 )
 
-// LargeMessageBytes is the payload size past which scatter+all-gather
-// overtakes the binomial tree on a full-bisection fabric (the
-// message-size ablation locates the crossover near 4 KiB at 8 PEs).
-// AlgoAuto stays on the tree regardless: on the default shared-switch
-// fabric total traffic decides and the tree wins at every size, so the
-// large-message algorithm is an explicit opt-in for deployments with
-// bisection bandwidth.
-const LargeMessageBytes = 16 << 10
-
 // Message-segmentation parameters (see SelectSegments). The chunk-size
 // ablation in docs/PERF.md locates the values: segmentation first pays
 // for itself once the payload clearly exceeds one chunk (the flag
