@@ -435,6 +435,83 @@ func TestSelectSegments(t *testing.T) {
 	}
 }
 
+// selectSegmentsReference is SelectSegments as it stood while it listed
+// the segmenting planners by name; the registry-derived version must
+// return the same factor for every call.
+func selectSegmentsReference(coll Collective, algo Algorithm, nPEs, nelems, width int) int {
+	if nPEs < 2 || nelems < 2 {
+		return 1
+	}
+	switch algo {
+	case AlgoBinomial:
+		switch coll {
+		case CollBroadcast, CollReduce, CollAllReduce, CollScatter:
+		default:
+			return 1
+		}
+	case AlgoRing:
+		switch coll {
+		case CollBroadcast, CollReduce:
+		default:
+			return 1
+		}
+	default:
+		return 1
+	}
+	chunk := ChunkBytes()
+	if chunk < 0 {
+		return 1
+	}
+	bytes := nelems * width
+	if chunk == 0 {
+		if bytes < SegmentMinBytes {
+			return 1
+		}
+		chunk = DefaultChunkBytes
+	}
+	s := (bytes + chunk - 1) / chunk
+	if s > MaxSegments {
+		s = MaxSegments
+	}
+	if s > nelems {
+		s = nelems
+	}
+	if coll == CollScatter && s > 1 {
+		s = 2
+	}
+	if s < 2 {
+		return 1
+	}
+	return s
+}
+
+// TestSelectSegmentsMatchesReference: asking the registry which plans
+// segment gives the listed answer for every planner (and for names the
+// registry does not know), supported collective or not.
+func TestSelectSegmentsMatchesReference(t *testing.T) {
+	defer SetChunkBytes(0)
+	algos := []Algorithm{AlgoAuto, "", "no-such-planner"}
+	for _, name := range PlannerNames() {
+		algos = append(algos, Algorithm(name))
+	}
+	for _, chunk := range []int{0, 4 << 10, -1} {
+		SetChunkBytes(chunk)
+		for _, algo := range algos {
+			for _, coll := range Collectives() {
+				for _, n := range []int{1, 2, 8, 64} {
+					for _, bytes := range []int{8, 1 << 10, 64 << 10, 1 << 20} {
+						got := SelectSegments(coll, algo, n, bytes/8, 8)
+						if want := selectSegmentsReference(coll, algo, n, bytes/8, 8); got != want {
+							t.Errorf("chunk=%d %s/%s n=%d bytes=%d: SelectSegments=%d, reference %d",
+								chunk, coll, algo, n, bytes, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSegmentedPoolBalanceOnFault cuts a tree link under a pipelined
 // broadcast: the failing PE errors out mid-pipeline with handles
 // borrowed and flags posted, the waiters are released by the broken

@@ -96,32 +96,15 @@ func ChunkBytes() int { return int(chunkOverride.Load()) }
 
 // SelectSegments picks the message-segmentation factor for a
 // collective: the number of near-equal chunks the payload is split
-// into so segments pipeline through the tree (1 = unsegmented). The
-// binomial tree's rooted data movers and the ring chain's
-// broadcast/reduce segment; everything else — and any payload below
-// SegmentMinBytes under auto selection — runs whole-message rounds.
+// into so segments pipeline through the plan (1 = unsegmented). The
+// payload decides the candidate factor — none below SegmentMinBytes
+// under auto selection — and the planner decides whether it applies:
+// the factor stands only when CompilePlanSeg answers with a segmented
+// or flag-pipelined plan rather than the aliased whole-message one, so
+// a planner that gains a segmented form needs no edit here.
 func SelectSegments(coll Collective, algo Algorithm, nPEs, nelems, width int) int {
-	if nPEs < 2 || nelems < 2 {
-		return 1
-	}
-	switch algo {
-	case AlgoBinomial:
-		switch coll {
-		case CollBroadcast, CollReduce, CollAllReduce, CollScatter:
-		default:
-			return 1
-		}
-	case AlgoRing:
-		switch coll {
-		case CollBroadcast, CollReduce:
-		default:
-			return 1
-		}
-	default:
-		return 1
-	}
 	chunk := ChunkBytes()
-	if chunk < 0 {
+	if nPEs < 2 || nelems < 2 || chunk < 0 {
 		return 1
 	}
 	bytes := nelems * width
@@ -145,6 +128,9 @@ func SelectSegments(coll Collective, algo Algorithm, nPEs, nelems, width int) in
 		s = 2
 	}
 	if s < 2 {
+		return 1
+	}
+	if p, err := CompilePlanSeg(coll, algo, nPEs, s); err != nil || (p.Segments <= 1 && p.FlagWords == 0) {
 		return 1
 	}
 	return s
