@@ -212,12 +212,16 @@ func (rt *Runtime) NewTeam(members []int) (*Team, error) {
 		}
 		index[m] = i
 	}
-	return &Team{
+	t := &Team{
 		rt:      rt,
 		members: append([]int(nil), members...),
 		index:   index,
 		barrier: newTeamBarrierState(append([]int(nil), members...)),
-	}, nil
+	}
+	rt.barriersMu.Lock()
+	rt.barriers = append(rt.barriers, t.barrier)
+	rt.barriersMu.Unlock()
+	return t, nil
 }
 
 // WorldTeam returns a team containing every PE in rank order.

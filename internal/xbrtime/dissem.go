@@ -43,29 +43,45 @@ type dissemKey struct {
 // their slot and consume it.
 type dissemState struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	conds  []sync.Cond // conds[r] is where PE r sleeps, all on mu
 	slots  map[dissemKey]uint64
 	broken bool
 	// waiting records, per blocked PE, the exact slot it sleeps on, so
-	// in lockstep mode the sender that fills the slot can re-queue the
-	// sleeper with the scheduler immediately (see lockstep.wake).
+	// the sender that fills the slot wakes that PE alone and, in
+	// lockstep mode, re-queues it with the scheduler immediately (see
+	// lockstep.wake).
 	waiting map[int]dissemKey
 }
 
-func newDissemState() *dissemState {
+func newDissemState(n int) *dissemState {
 	d := &dissemState{
+		conds:   make([]sync.Cond, n),
 		slots:   make(map[dissemKey]uint64),
 		waiting: make(map[int]dissemKey),
 	}
-	d.cond = sync.NewCond(&d.mu)
+	for r := range d.conds {
+		d.conds[r].L = &d.mu
+	}
 	return d
 }
 
 func (d *dissemState) breakBarrier() {
 	d.mu.Lock()
-	d.broken = true
-	d.cond.Broadcast()
+	if !d.broken { // survivors of a failure each break again
+		d.broken = true
+		for r := range d.conds {
+			d.conds[r].Signal()
+		}
+	}
 	d.mu.Unlock()
+}
+
+// sleeper returns the slot PE rank is asleep on, if any.
+func (d *dissemState) sleeper(rank int) (dissemKey, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	k, ok := d.waiting[rank]
+	return k, ok
 }
 
 // dissemBarrier runs one dissemination barrier for pe.
@@ -97,8 +113,8 @@ func (pe *PE) dissemBarrier() error {
 			// lockstep scheduler at its resume clock before moving on.
 			delete(d.waiting, dst)
 			pe.lsWake(dst, arrive)
+			d.conds[dst].Signal()
 		}
-		d.cond.Broadcast()
 		// Wait for the signal addressed to us in this round and epoch.
 		me := dissemKey{epoch, k, pe.rank}
 		blocked := false
@@ -128,7 +144,7 @@ func (pe *PE) dissemBarrier() error {
 				pe.lsBlock()
 				blocked = true
 			}
-			d.cond.Wait()
+			d.conds[pe.rank].Wait()
 		}
 	}
 	return nil

@@ -42,29 +42,44 @@ type flagCell struct {
 // broken when a PE fails so waiters unwind instead of deadlocking.
 type flagHub struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	conds  []sync.Cond // conds[r] is where PE r sleeps, all on mu
 	cells  map[flagKey]*flagCell
 	broken bool
-	// waiting records, per blocked PE, the flag it sleeps on, so in
-	// lockstep mode the signaller can re-queue the sleeper with the
-	// scheduler immediately (see lockstep.wake).
+	// waiting records, per blocked PE, the flag it sleeps on, so the
+	// signaller wakes that PE alone and, in lockstep mode, re-queues it
+	// with the scheduler immediately (see lockstep.wake).
 	waiting map[int]flagKey
 }
 
-func newFlagHub() *flagHub {
+func newFlagHub(n int) *flagHub {
 	fh := &flagHub{
+		conds:   make([]sync.Cond, n),
 		cells:   make(map[flagKey]*flagCell),
 		waiting: make(map[int]flagKey),
 	}
-	fh.cond = sync.NewCond(&fh.mu)
+	for r := range fh.conds {
+		fh.conds[r].L = &fh.mu
+	}
 	return fh
 }
 
 func (fh *flagHub) breakAll() {
 	fh.mu.Lock()
-	fh.broken = true
-	fh.cond.Broadcast()
+	if !fh.broken { // survivors of a failure each break again
+		fh.broken = true
+		for r := range fh.conds {
+			fh.conds[r].Signal()
+		}
+	}
 	fh.mu.Unlock()
+}
+
+// sleeper returns the flag PE rank is asleep on, if any.
+func (fh *flagHub) sleeper(rank int) (flagKey, bool) {
+	fh.mu.Lock()
+	defer fh.mu.Unlock()
+	k, ok := fh.waiting[rank]
+	return k, ok
 }
 
 // post records one signal arriving at key at time `at` and wakes the
@@ -84,8 +99,8 @@ func (fh *flagHub) post(pe *PE, k flagKey, at uint64) {
 	if wk, ok := fh.waiting[k.rank]; ok && wk == k {
 		delete(fh.waiting, k.rank)
 		pe.lsWake(k.rank, at)
+		fh.conds[k.rank].Signal()
 	}
-	fh.cond.Broadcast()
 	fh.mu.Unlock()
 }
 
@@ -165,6 +180,6 @@ func (pe *PE) WaitFlag(addr uint64) error {
 			pe.lsBlock()
 			blocked = true
 		}
-		fh.cond.Wait()
+		fh.conds[pe.rank].Wait()
 	}
 }

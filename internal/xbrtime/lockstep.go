@@ -1,6 +1,11 @@
 package xbrtime
 
-import "sync"
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+)
 
 // Lockstep execution (Config.Deterministic).
 //
@@ -18,9 +23,26 @@ import "sync"
 // every booking, every value, every statistic — is a pure function of
 // the program, independent of GOMAXPROCS and goroutine scheduling.
 //
-// PE states. A PE is ready (wants the token), running (holds it),
-// blocked (asleep inside a barrier; the token moves on without it),
-// or done.
+// Hand-off. The token moves by direct hand-off: the PE that gives it up
+// (yield, block, done) pops the next holder off a min-heap of the ready
+// PEs itself, under mu, and wakes only that PE through its grant
+// channel. A yielder that is still the minimum keeps the token without
+// a goroutine switch. The ready set cannot change while the token is
+// free — only the holder makes PEs ready (its own yield, a wake of a
+// sleeper) — so picking at release time chooses exactly the PE a scan
+// at any later moment would.
+//
+// Sleepers. A PE that blocks in a barrier or flag wait sleeps on that
+// structure's condition variable, not on its grant. The waker marks it
+// ready at its resume clock (wake), so the scheduler may grant it the
+// token while its goroutine is still inside cond.Wait; the grant waits
+// in the channel until the sleeper reaches unblock. A sleeper released
+// by a *broken* barrier or flag hub was never woken: unblock re-queues
+// it and, if the token is free, dispatches.
+//
+// PE states. A PE is ready (wants the token), running (holds it, or has
+// been granted it and not yet resumed), blocked (asleep inside a
+// barrier or flag wait; the token moves on without it), or done.
 const (
 	lsReady uint8 = iota
 	lsRunning
@@ -28,71 +50,167 @@ const (
 	lsDone
 )
 
-// lockstep is the token scheduler. One instance serves one Run call.
-type lockstep struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	state []uint8
-	clock []uint64
+// readyPE is one entry of the ready queue. No two entries share a rank,
+// so (clock, rank) orders them strictly.
+type readyPE struct {
+	clock uint64
+	rank  int
 }
 
-// newLockstep creates a scheduler with every PE ready at the given
-// clocks, so the choice of the first PE to run is already determined
-// before any goroutine is spawned.
-func newLockstep(clocks []uint64) *lockstep {
+func (a readyPE) before(b readyPE) bool {
+	return a.clock < b.clock || a.clock == b.clock && a.rank < b.rank
+}
+
+// lockstep is the token scheduler. A runtime owns one and resets it at
+// the start of every Run.
+type lockstep struct {
+	mu    sync.Mutex
+	state []uint8
+	clock []uint64 // per PE: the clock it was queued or blocked at
+	// ready is a binary min-heap of the ready PEs. A PE leaves it only
+	// by being picked, so push and pop-min are the whole interface. (A
+	// linear scan over state was 20 % of the CPU samples of the 1024-PE
+	// allreduce gate and 32 % of BenchmarkLockstepYield/1024pe.)
+	ready   []readyPE
+	blocked int // PEs in lsBlocked
+	holder  int // rank marked running, -1 while the token is free
+	// grant[r] carries the token to PE r. At most one grant per PE is
+	// ever outstanding (a PE is granted only on ready→running and must
+	// receive before it can become ready again), so sends never block.
+	grant []chan struct{}
+	// broken is set once the runtime has released its barriers and flag
+	// waits; blocked PEs then re-queue on their own and a dispatch that
+	// finds nobody ready is not a stall.
+	broken bool
+	// onStall runs (under mu, possibly under the caller's barrier or
+	// flag lock — it must not block) when dispatch finds the token free,
+	// no PE ready and at least one blocked: nobody can wake them.
+	onStall func()
+}
+
+func newLockstep(n int) *lockstep {
 	ls := &lockstep{
-		state: make([]uint8, len(clocks)),
-		clock: append([]uint64(nil), clocks...),
+		state: make([]uint8, n),
+		clock: make([]uint64, n),
+		ready: make([]readyPE, 0, n),
+		grant: make([]chan struct{}, n),
 	}
-	ls.cond = sync.NewCond(&ls.mu)
+	for r := range ls.grant {
+		ls.grant[r] = make(chan struct{}, 1)
+	}
 	return ls
 }
 
-// chosen reports whether rank should run next: nobody is running and
-// rank is the ready PE with the smallest (clock, rank). Callers hold
-// ls.mu.
-func (ls *lockstep) chosen(rank int) bool {
-	best := -1
-	for r, st := range ls.state {
-		switch st {
-		case lsRunning:
-			return false
-		case lsReady:
-			if best == -1 || ls.clock[r] < ls.clock[best] {
-				best = r
-			}
-		}
-	}
-	return best == rank
-}
-
-// waitTurn parks until rank is chosen, then marks it running.
-func (ls *lockstep) waitTurn(rank int) {
+// reset registers every PE ready at its clock and dispatches, so the
+// first PE to run is determined before any goroutine is spawned.
+func (ls *lockstep) reset(pes []*PE, onStall func()) {
 	ls.mu.Lock()
-	for !ls.chosen(rank) {
-		ls.cond.Wait()
+	ls.ready = ls.ready[:0]
+	for r, pe := range pes {
+		ls.enqueue(r, pe.clock)
 	}
-	ls.state[rank] = lsRunning
+	ls.blocked = 0
+	ls.broken = false
+	ls.onStall = onStall
+	ls.dispatch()
 	ls.mu.Unlock()
 }
 
-// start hands the token to rank for the first time (the PE was marked
-// ready by the constructor).
-func (ls *lockstep) start(rank int) { ls.waitTurn(rank) }
-
-// yield re-queues rank at the given clock and waits until it is chosen
-// again. PEs call it immediately before booking shared resources so
-// bookings happen in virtual-clock order.
-func (ls *lockstep) yield(rank int, clock uint64) {
-	ls.mu.Lock()
+// enqueue marks rank ready at clock.
+func (ls *lockstep) enqueue(rank int, clock uint64) {
 	ls.state[rank] = lsReady
 	ls.clock[rank] = clock
-	ls.cond.Broadcast()
-	for !ls.chosen(rank) {
-		ls.cond.Wait()
+	e := readyPE{clock, rank}
+	h := append(ls.ready, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	ls.state[rank] = lsRunning
+	h[i] = e
+	ls.ready = h
+}
+
+// replaceMin overwrites the heap's root with e and restores the order.
+func (ls *lockstep) replaceMin(e readyPE) {
+	h := ls.ready
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+// dispatch hands the free token to the ready PE with the smallest
+// (clock, rank), if any. Callers hold ls.mu and have given the token up.
+func (ls *lockstep) dispatch() {
+	if n := len(ls.ready); n > 0 {
+		next := ls.ready[0].rank
+		last := ls.ready[n-1]
+		ls.ready = ls.ready[:n-1]
+		if n > 1 {
+			ls.replaceMin(last)
+		}
+		ls.run(next)
+		return
+	}
+	ls.holder = -1
+	if ls.blocked > 0 && !ls.broken {
+		ls.broken = true
+		ls.onStall()
+	}
+}
+
+// run marks next as the token holder and wakes it.
+func (ls *lockstep) run(next int) {
+	ls.state[next] = lsRunning
+	ls.holder = next
+	ls.grant[next] <- struct{}{}
+}
+
+// markBroken tells the scheduler the runtime released its sleepers.
+func (ls *lockstep) markBroken() {
+	ls.mu.Lock()
+	ls.broken = true
 	ls.mu.Unlock()
+}
+
+// start waits for rank's first grant (reset marked the PE ready).
+func (ls *lockstep) start(rank int) { <-ls.grant[rank] }
+
+// yield re-queues rank at the given clock and returns once it holds the
+// token again. PEs call it immediately before booking shared resources
+// so bookings happen in virtual-clock order.
+func (ls *lockstep) yield(rank int, clock uint64) {
+	me := readyPE{clock, rank}
+	ls.mu.Lock()
+	if len(ls.ready) == 0 || me.before(ls.ready[0]) {
+		// Still the minimum: keep the token, no goroutine switch.
+		ls.mu.Unlock()
+		return
+	}
+	next := ls.ready[0].rank
+	ls.state[rank] = lsReady
+	ls.clock[rank] = clock
+	ls.replaceMin(me)
+	ls.run(next)
+	ls.mu.Unlock()
+	<-ls.grant[rank]
 }
 
 // block releases the token without re-queuing: the PE is about to
@@ -103,7 +221,8 @@ func (ls *lockstep) block(rank int, clock uint64) {
 	ls.mu.Lock()
 	ls.state[rank] = lsBlocked
 	ls.clock[rank] = clock
-	ls.cond.Broadcast()
+	ls.blocked++
+	ls.dispatch()
 	ls.mu.Unlock()
 }
 
@@ -117,25 +236,70 @@ func (ls *lockstep) block(rank int, clock uint64) {
 func (ls *lockstep) wake(rank int, at uint64) {
 	ls.mu.Lock()
 	if ls.state[rank] == lsBlocked {
-		ls.state[rank] = lsReady
-		if ls.clock[rank] < at {
-			ls.clock[rank] = at
-		}
-		ls.cond.Broadcast()
+		ls.blocked--
+		ls.enqueue(rank, max(ls.clock[rank], at))
 	}
 	ls.mu.Unlock()
 }
 
-// unblock re-queues a blocked PE at the given clock and waits for its
-// turn. Callers must not hold other locks.
-func (ls *lockstep) unblock(rank int, clock uint64) { ls.yield(rank, clock) }
+// unblock reacquires the token after a barrier or flag sleep; clock is
+// the PE's clock after the wait. Callers must not hold other locks.
+func (ls *lockstep) unblock(rank int, clock uint64) {
+	ls.mu.Lock()
+	if ls.state[rank] == lsBlocked {
+		// Released by a broken barrier or flag hub, not by a waker.
+		ls.blocked--
+		ls.enqueue(rank, clock)
+		if ls.holder < 0 {
+			ls.dispatch()
+		}
+	} else if ls.clock[rank] != clock && !ls.broken {
+		// The waker queued this PE at one clock and it resumes at
+		// another: the token order would depend on host scheduling.
+		panic("xbrtime: lockstep sleeper resumes at a clock its waker did not queue")
+	}
+	ls.mu.Unlock()
+	<-ls.grant[rank]
+}
 
-// done retires rank permanently.
+// done retires rank permanently and passes the token on.
 func (ls *lockstep) done(rank int) {
 	ls.mu.Lock()
 	ls.state[rank] = lsDone
-	ls.cond.Broadcast()
+	ls.dispatch()
 	ls.mu.Unlock()
+}
+
+// ErrStalled is returned (wrapped, with one clause per sleeper) from a
+// lockstep Run whose every unfinished PE is asleep in a barrier or flag
+// wait: the program deadlocked.
+var ErrStalled = errors.New("xbrtime: lockstep stall, every unfinished PE is blocked")
+
+// diagnoseStall names what each blocked PE sleeps on. It runs once the
+// scheduler has found the stall, so no PE is running and the tables it
+// reads are quiescent; the locks order it after the last sleeper's
+// cond.Wait.
+func (rt *Runtime) diagnoseStall() error {
+	ls := rt.sched
+	ls.mu.Lock()
+	state := append([]uint8(nil), ls.state...)
+	clock := append([]uint64(nil), ls.clock...)
+	ls.mu.Unlock()
+	var b strings.Builder
+	for rank, st := range state {
+		if st != lsBlocked {
+			continue
+		}
+		fmt.Fprintf(&b, "; PE %d at cycle %d in ", rank, clock[rank])
+		if k, ok := rt.flags.sleeper(rank); ok {
+			fmt.Fprintf(&b, "WaitFlag(%#x)", k.addr)
+		} else if k, ok := rt.dissem.sleeper(rank); ok {
+			fmt.Fprintf(&b, "dissemination barrier %d round %d", k.epoch, k.round)
+		} else {
+			b.WriteString("a central barrier")
+		}
+	}
+	return fmt.Errorf("%w%s", ErrStalled, b.String())
 }
 
 // lsYield re-queues the PE at its current clock if lockstep mode is

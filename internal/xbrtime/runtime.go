@@ -1,6 +1,7 @@
 package xbrtime
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -149,8 +150,12 @@ type Runtime struct {
 	barrier *barrierState
 	dissem  *dissemState
 	flags   *flagHub
-	ls      *lockstep // non-nil while a Deterministic Run is active
+	sched   *lockstep // the Deterministic scheduler, nil otherwise
+	ls      *lockstep // sched while a Run is active, so PE calls outside Run run free
 	obsRun  *obs.Run  // non-nil when cfg.Obs is set
+
+	barriersMu sync.Mutex
+	barriers   []*barrierState // barrier and every team's, for breakAll
 }
 
 // New initialises a runtime with cfg.NumPEs processing elements.
@@ -180,8 +185,12 @@ func New(cfg Config) (*Runtime, error) {
 		cfg:     cfg,
 		machine: m,
 		barrier: newBarrierState(cfg.NumPEs),
-		dissem:  newDissemState(),
-		flags:   newFlagHub(),
+		dissem:  newDissemState(cfg.NumPEs),
+		flags:   newFlagHub(cfg.NumPEs),
+	}
+	rt.barriers = []*barrierState{rt.barrier}
+	if cfg.Deterministic && cfg.Transport == TransportNative {
+		rt.sched = newLockstep(cfg.NumPEs)
 	}
 	if cfg.Obs != nil {
 		rt.obsRun = cfg.Obs.Attach(fmt.Sprintf("%d PEs", cfg.NumPEs), cfg.NumPEs)
@@ -265,23 +274,30 @@ func (rt *Runtime) MaxClock() uint64 {
 }
 
 // Run executes fn once per PE, each on its own goroutine (the SPMD
-// model). It returns the first non-nil error, after all PEs finish. A
-// PE returning an error while others sit in a barrier would deadlock
-// the barrier, so Run marks the barrier broken on error, releasing the
-// survivors with ErrBarrierBroken.
+// model), and returns after all PEs finish. A PE returning an error
+// while others sit in a barrier or flag wait would deadlock them, so
+// Run then breaks every barrier and the flag hub, releasing the
+// survivors with ErrBarrierBroken / ErrWaitBroken; it returns the
+// lowest-ranked error that is not such a release. In lockstep mode a
+// program in which every live PE sleeps on something nobody will signal
+// is released the same way and Run returns an ErrStalled diagnosis.
 func (rt *Runtime) Run(fn func(pe *PE) error) error {
-	if rt.cfg.Deterministic && rt.cfg.Transport == TransportNative {
-		// Lockstep scheduling: every PE is registered ready (at its
-		// current clock) before any goroutine starts, so the execution
-		// order is fixed regardless of how the host schedules them.
-		clocks := make([]uint64, rt.cfg.NumPEs)
-		for i, pe := range rt.pes {
-			clocks[i] = pe.clock
-		}
-		rt.ls = newLockstep(clocks)
+	var wg sync.WaitGroup
+	var stallErr error
+	if rt.sched != nil {
+		rt.sched.reset(rt.pes, func() {
+			// Called under the scheduler lock and possibly a barrier or
+			// flag lock, by a PE goroutine wg still counts.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stallErr = rt.diagnoseStall()
+				rt.breakAll()
+			}()
+		})
+		rt.ls = rt.sched
 		defer func() { rt.ls = nil }()
 	}
-	var wg sync.WaitGroup
 	errs := make([]error, rt.cfg.NumPEs)
 	for _, pe := range rt.pes {
 		wg.Add(1)
@@ -293,19 +309,42 @@ func (rt *Runtime) Run(fn func(pe *PE) error) error {
 			}
 			if err := fn(p); err != nil {
 				errs[p.rank] = err
-				rt.barrier.breakBarrier()
-				rt.dissem.breakBarrier()
-				rt.flags.breakAll()
+				rt.breakAll()
 			}
 		}(pe)
 	}
 	wg.Wait()
+	if stallErr != nil {
+		return stallErr
+	}
+	var released error
 	for _, err := range errs {
-		if err != nil {
+		switch {
+		case err == nil:
+		case !errors.Is(err, ErrBarrierBroken) && !errors.Is(err, ErrWaitBroken):
 			return err
+		case released == nil:
+			released = err
 		}
 	}
-	return nil
+	return released
+}
+
+// breakAll releases every PE asleep in a barrier or flag wait, and
+// makes every later wait fail, so survivors of a failure unwind.
+func (rt *Runtime) breakAll() {
+	if rt.sched != nil {
+		// First: a sleeper that sees a broken structure must find the
+		// scheduler already expecting it to re-queue itself.
+		rt.sched.markBroken()
+	}
+	rt.barriersMu.Lock()
+	for _, b := range rt.barriers {
+		b.breakBarrier()
+	}
+	rt.barriersMu.Unlock()
+	rt.dissem.breakBarrier()
+	rt.flags.breakAll()
 }
 
 // PE is one processing element's runtime context. All methods must be
