@@ -10,12 +10,8 @@ build:
 test:
 	$(GO) test ./...
 
-# -short skips the scale gates (TestLockstep1024AllReduce and the other
-# tests that honour it): under the race detector the 1024-PE lockstep
-# run alone outlasts go test's 10-minute package timeout. `make test`
-# still runs them.
 race:
-	$(GO) test -race -short ./...
+	$(GO) test -race ./...
 
 # Host-performance microbenchmarks (see docs/PERF.md). Writes the raw
 # `go test -bench` output to bench_current.txt and records it as

@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tune        = fs.Bool("tune", false, "calibrate the alpha-beta cost model on this machine and persist the tuning table")
 		tuning      = fs.String("tuning", "", "load a persisted tuning table for auto algorithm selection (default "+core.DefaultTuningPath+" when present)")
 		audit       = fs.Bool("audit", false, "audit the cost model: replay the collective grid and compare measured virtual cost against PlanCostShape")
-		auditPEs    = fs.Int("audit-pes", 8, "PE count for -audit (<=16 runs in deterministic lockstep)")
+		auditPEs    = fs.Int("audit-pes", 8, "PE count for -audit (<=256 runs in deterministic lockstep)")
 		auditJSON   = fs.String("audit-json", "", "also write the -audit report as JSON to `file` (for tools/tracelens -audit)")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to `file`")

