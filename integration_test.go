@@ -294,7 +294,13 @@ func TestGUPSOverSpikeTransport(t *testing.T) {
 		t.Skip("instruction-level GUPS is slow")
 	}
 	p := bench.DefaultGUPSParams()
-	p.TableWords = 1 << 12
+	// GUPS updates race by design and verification forgives 1 % of
+	// them — one word of these 128. With a 2^12-word table the eight
+	// gets a PE keeps in flight met the owner's own updates often
+	// enough for two lost words in about a quarter of the runs
+	// whenever both PEs really ran in parallel; 2^16 words make that
+	// collision 16× rarer (0 of 100 repeats).
+	p.TableWords = 1 << 16
 	p.UpdatesPerPE = 64
 	p.Lookahead = 8
 	p.Runtime = xbrtime.Config{Transport: xbrtime.TransportSpike}

@@ -9,14 +9,27 @@ const LineSize = 64
 // with true-LRU replacement within each set. Only tags are tracked: data
 // always lives in Memory (the functional simulator is store-through),
 // so the cache influences timing and statistics, never values.
+//
+// Host layout: one []uint64 in which each set is `ways` consecutive
+// words kept in recency order — word 0 is the most recently used line,
+// the last word the replacement victim. A word is 0 for an invalid way
+// and (line+1)<<1 | dirty otherwise; line = addr/64 < 2^58, so the
+// bias cannot overflow and no probe can match an invalid way. Valid
+// entries are therefore always a prefix of the set, which makes "first
+// invalid way, else least recently used" simply "the tail": every
+// access slides the words ahead of its line down by one and puts the
+// line at the front, and whatever falls off the end is the eviction.
+// An 8-way set is exactly one 64-byte host cache line. The zero value
+// of the slice is the empty cache, so NewCache writes nothing and the
+// host pages of sets the program never touches are never made resident
+// (the paper's 8 MB L2 is 1 MiB of words per PE).
 type Cache struct {
 	name     string
-	sets     int
 	ways     int
-	tags     []uint64 // sets×ways row-major line tags; ^0 = invalid
-	dirty    []bool
-	lru      []uint64 // last-use tick, same layout as tags
-	tick     uint64
+	sets     uint64
+	mask     uint64   // sets-1 when pow2: the set index is line&mask
+	pow2     bool     // sets is a power of two (both paper geometries)
+	words    []uint64 // sets×ways, laid out as described above
 	hits     uint64
 	misses   uint64
 	evicts   uint64
@@ -35,17 +48,12 @@ func NewCache(name string, size, ways int) (*Cache, error) {
 		return nil, fmt.Errorf("mem: cache %s: size %d not divisible into %d-way sets of %d-byte lines",
 			name, size, ways, LineSize)
 	}
-	sets := lines / ways
-	c := &Cache{
+	sets := uint64(lines / ways)
+	return &Cache{
 		name: name, sets: sets, ways: ways, sizeByte: size,
-		tags:  make([]uint64, lines),
-		dirty: make([]bool, lines),
-		lru:   make([]uint64, lines),
-	}
-	for i := range c.tags {
-		c.tags[i] = ^uint64(0)
-	}
-	return c, nil
+		mask: sets - 1, pow2: sets&(sets-1) == 0,
+		words: make([]uint64, lines),
+	}, nil
 }
 
 // MustCache is NewCache for static configurations; it panics on error.
@@ -59,43 +67,46 @@ func MustCache(name string, size, ways int) *Cache {
 
 // access probes a single line. write marks the line dirty on presence.
 func (c *Cache) access(lineAddr uint64, write bool) (hit bool) {
-	base := int(lineAddr%uint64(c.sets)) * c.ways
-	tags := c.tags[base : base+c.ways]
-	c.tick++
-	for w, t := range tags {
-		if t == lineAddr {
-			c.lru[base+w] = c.tick
-			if write {
-				c.dirty[base+w] = true
-			}
+	idx := lineAddr & c.mask
+	if !c.pow2 {
+		idx = lineAddr % c.sets
+	}
+	base := int(idx) * c.ways
+	set := c.words[base : base+c.ways]
+	key := (lineAddr + 1) << 1
+	var dirty uint64
+	if write {
+		dirty = 1
+	}
+	// One pass probes and reorders: cur is the entry that stood one way
+	// ahead and now moves into way w. The walk ends at the line (a hit:
+	// the ways ahead of it have slid down, it goes to the front), at
+	// the end of the valid prefix (a miss with room) or off the end of
+	// the set (a miss; cur is the least recently used line).
+	cur := set[0]
+	if cur&^1 == key {
+		set[0] = cur | dirty
+		c.hits++
+		return true
+	}
+	for w := 1; cur != 0 && w < len(set); w++ {
+		next := set[w]
+		set[w] = cur
+		if next&^1 == key {
+			set[0] = next | dirty
 			c.hits++
 			return true
 		}
+		cur = next
 	}
 	c.misses++
-	// Fill: choose an invalid way, else the LRU way.
-	victim := 0
-	oldest := ^uint64(0)
-	for w, t := range tags {
-		if t == ^uint64(0) {
-			victim = w
-			oldest = 0
-			break
-		}
-		if c.lru[base+w] < oldest {
-			oldest = c.lru[base+w]
-			victim = w
-		}
-	}
-	if tags[victim] != ^uint64(0) {
+	if cur != 0 {
 		c.evicts++
-		if c.dirty[base+victim] {
+		if cur&1 != 0 {
 			c.wbBytes += LineSize
 		}
 	}
-	tags[victim] = lineAddr
-	c.dirty[base+victim] = write
-	c.lru[base+victim] = c.tick
+	set[0] = key | dirty
 	return false
 }
 
@@ -117,13 +128,14 @@ func (c *Cache) Access(addr uint64, size int, write bool) (allHit bool) {
 }
 
 // Flush invalidates every line, counting dirty lines as written back.
+// Only valid ways are written, so flushing does not make the host
+// pages of untouched sets resident either.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		if c.tags[i] != ^uint64(0) && c.dirty[i] {
-			c.wbBytes += LineSize
+	for i, e := range c.words {
+		if e != 0 {
+			c.wbBytes += LineSize * (e & 1)
+			c.words[i] = 0
 		}
-		c.tags[i] = ^uint64(0)
-		c.dirty[i] = false
 	}
 }
 
@@ -146,7 +158,7 @@ func (c *Cache) Size() int { return c.sizeByte }
 func (c *Cache) Ways() int { return c.ways }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.sets) }
 
 // HitRate returns hits/(hits+misses), or 0 with no traffic.
 func (c *Cache) HitRate() float64 {

@@ -107,25 +107,42 @@ func (h *Hierarchy) Touch(addr uint64, size int, write bool) uint64 {
 	if !h.tlb.Lookup(addr) {
 		cost += h.cfg.TLBMissCost
 	}
-	if !h.l1.Access(addr, size, write) {
+	line := addr / LineSize
+	if (addr+uint64(size)-1)/LineSize == line {
+		// The access lies in one line — every aligned element access
+		// and every bulk line touch: probe it directly instead of
+		// through the range form.
+		if !h.l1.access(line, write) {
+			cost += h.cfg.L2Latency
+			if !h.l2.access(line, write) {
+				cost += h.cfg.MemLatency
+			}
+			h.streamMiss(line)
+		}
+	} else if !h.l1.Access(addr, size, write) {
 		cost += h.cfg.L2Latency
 		if !h.l2.Access(addr, size, write) {
 			cost += h.cfg.MemLatency
 		}
-		if h.cfg.Prefetch {
-			line := addr / LineSize
-			if line == h.lastMissLine+1 {
-				// Detected a stream: pull the next line into both
-				// levels ahead of the access that would miss on it.
-				h.l1.Access((line+1)*LineSize, 1, false)
-				h.l2.Access((line+1)*LineSize, 1, false)
-				h.prefetches++
-			}
-			h.lastMissLine = line
-		}
+		h.streamMiss(line)
 	}
 	h.cycles += cost
 	return cost
+}
+
+// streamMiss feeds an L1 miss on line to the stream prefetcher: two
+// misses on adjacent lines pull the following line into both levels
+// ahead of the access that would miss on it.
+func (h *Hierarchy) streamMiss(line uint64) {
+	if !h.cfg.Prefetch {
+		return
+	}
+	if line == h.lastMissLine+1 {
+		h.l1.access(line+1, false)
+		h.l2.access(line+1, false)
+		h.prefetches++
+	}
+	h.lastMissLine = line
 }
 
 // TouchRange charges the cycle cost of n size-byte accesses at

@@ -405,3 +405,344 @@ func TestPrefetchOffByDefault(t *testing.T) {
 		t.Error("prefetcher must be off by default (paper §5.1 config)")
 	}
 }
+
+// refCache is the three-array cache the model was first written as,
+// kept verbatim as the differential oracle: tags (^0 = invalid), a
+// last-use tick per way and a dirty bit per way; a miss fills the first
+// invalid way, else the way with the oldest tick.
+type refCache struct {
+	sets    int
+	ways    int
+	tags    []uint64
+	dirty   []bool
+	lru     []uint64
+	tick    uint64
+	hits    uint64
+	misses  uint64
+	evicts  uint64
+	wbBytes uint64
+}
+
+func newRefCache(size, ways int) *refCache {
+	lines := size / LineSize
+	c := &refCache{
+		sets: lines / ways, ways: ways,
+		tags:  make([]uint64, lines),
+		dirty: make([]bool, lines),
+		lru:   make([]uint64, lines),
+	}
+	for i := range c.tags {
+		c.tags[i] = ^uint64(0)
+	}
+	return c
+}
+
+func (c *refCache) access(lineAddr uint64, write bool) (hit bool) {
+	base := int(lineAddr%uint64(c.sets)) * c.ways
+	tags := c.tags[base : base+c.ways]
+	c.tick++
+	for w, t := range tags {
+		if t == lineAddr {
+			c.lru[base+w] = c.tick
+			if write {
+				c.dirty[base+w] = true
+			}
+			c.hits++
+			return true
+		}
+	}
+	c.misses++
+	// Fill: choose an invalid way, else the LRU way.
+	victim := 0
+	oldest := ^uint64(0)
+	for w, t := range tags {
+		if t == ^uint64(0) {
+			victim = w
+			oldest = 0
+			break
+		}
+		if c.lru[base+w] < oldest {
+			oldest = c.lru[base+w]
+			victim = w
+		}
+	}
+	if tags[victim] != ^uint64(0) {
+		c.evicts++
+		if c.dirty[base+victim] {
+			c.wbBytes += LineSize
+		}
+	}
+	tags[victim] = lineAddr
+	c.dirty[base+victim] = write
+	c.lru[base+victim] = c.tick
+	return false
+}
+
+func (c *refCache) Access(addr uint64, size int, write bool) (allHit bool) {
+	if size <= 0 {
+		return true
+	}
+	first := addr / LineSize
+	last := (addr + uint64(size) - 1) / LineSize
+	allHit = true
+	for line := first; line <= last; line++ {
+		if !c.access(line, write) {
+			allHit = false
+		}
+	}
+	return allHit
+}
+
+func (c *refCache) Flush() {
+	for i := range c.tags {
+		if c.tags[i] != ^uint64(0) && c.dirty[i] {
+			c.wbBytes += LineSize
+		}
+		c.tags[i] = ^uint64(0)
+		c.dirty[i] = false
+	}
+}
+
+// TestCacheMatchesReference replays access traces through the packed
+// recency-ordered cache and the reference and demands the same answer
+// to every access and the same four counters after it: a streaming
+// sweep (every set in turn, the bulk path), a hot set (every way of a
+// few sets, hits at every recency position), uniform random lines, and
+// a mix of those with multi-line accesses — reads and writes, with two
+// Flushes mid-trace. The geometries cover the mask and the modulo set
+// index, one way and one set.
+func TestCacheMatchesReference(t *testing.T) {
+	geometries := []struct {
+		name       string
+		size, ways int
+	}{
+		{"paper L1", 16 << 10, 8},
+		{"paper L2", 8 << 20, 8},
+		{"3-way, 5 sets", 5 * 3 * LineSize, 3},
+		{"direct-mapped", 64 * LineSize, 1},
+		{"fully associative", 16 * LineSize, 16},
+	}
+	const steps = 60_000
+	for _, g := range geometries {
+		rng := rand.New(rand.NewSource(15))
+		lines := uint64(g.size / LineSize)
+		sets := lines / uint64(g.ways)
+		streaming := func(i int) (uint64, int) { return uint64(i) * LineSize, LineSize }
+		hotSet := func(int) (uint64, int) {
+			// ways+2 lines in each of two sets: hits at every
+			// recency position, and evictions.
+			k := uint64(rng.Intn(g.ways + 2))
+			set := uint64(rng.Intn(2)) % sets
+			return (k*sets+set)*LineSize + uint64(rng.Intn(LineSize-8)), 8
+		}
+		random := func(int) (uint64, int) { return uint64(rng.Int63n(int64(4*lines))) * LineSize, 1 }
+		traces := []struct {
+			name string
+			next func(i int) (addr uint64, size int)
+		}{
+			{"streaming", streaming},
+			{"hot-set", hotSet},
+			{"random", random},
+			{"mixed", func(i int) (uint64, int) {
+				switch rng.Intn(4) {
+				case 0:
+					return streaming(i)
+				case 1:
+					return hotSet(i)
+				case 2:
+					// Unaligned and up to three lines long.
+					return uint64(rng.Int63n(int64(2*lines) * LineSize)), 1 + rng.Intn(2*LineSize)
+				}
+				return random(i)
+			}},
+		}
+		for _, tr := range traces {
+			c, ref := MustCache(g.name, g.size, g.ways), newRefCache(g.size, g.ways)
+			if c.Sets() != ref.sets || c.Ways() != ref.ways {
+				t.Fatalf("%s: %d sets × %d ways, reference %d × %d", g.name, c.Sets(), c.Ways(), ref.sets, ref.ways)
+			}
+			for i := 0; i < steps; i++ {
+				if i == steps/2 || i == steps/2+5 {
+					c.Flush()
+					ref.Flush()
+				}
+				addr, size := tr.next(i)
+				write := rng.Intn(3) == 0
+				got, want := c.Access(addr, size, write), ref.Access(addr, size, write)
+				if got != want {
+					t.Fatalf("%s, %s: access %d of %#x+%d write=%v hit=%v, reference %v",
+						g.name, tr.name, i, addr, size, write, got, want)
+				}
+				if c.Hits() != ref.hits || c.Misses() != ref.misses ||
+					c.Evictions() != ref.evicts || c.WritebackBytes() != ref.wbBytes {
+					t.Fatalf("%s, %s: after access %d: hits/misses/evictions/writeback %d/%d/%d/%d, reference %d/%d/%d/%d",
+						g.name, tr.name, i, c.Hits(), c.Misses(), c.Evictions(), c.WritebackBytes(),
+						ref.hits, ref.misses, ref.evicts, ref.wbBytes)
+				}
+			}
+			if c.Evictions() == 0 && tr.name != "streaming" && g.name != "paper L2" {
+				t.Errorf("%s, %s: trace never evicted", g.name, tr.name)
+			}
+		}
+	}
+}
+
+// TestCacheTopLineIsNotTheInvalidMarker: the last line of the address
+// space misses an empty cache and hits once filled — the invalid marker
+// is not a line address.
+func TestCacheTopLineIsNotTheInvalidMarker(t *testing.T) {
+	c := MustCache("c", 4096, 4)
+	top := ^uint64(0)
+	if c.Access(top, 1, false) {
+		t.Error("cold access to the top line hit an empty way")
+	}
+	if !c.Access(top, 1, true) {
+		t.Error("warm access to the top line missed")
+	}
+	c.Flush()
+	if c.WritebackBytes() != LineSize || c.Access(top, 1, false) {
+		t.Errorf("after flush: writeback %d bytes, want %d, and the line must miss", c.WritebackBytes(), LineSize)
+	}
+}
+
+// TestElemsMatchScalar checks the page-run codecs against loops of
+// ReadUint/WriteUint: every element size, strides that repeat one
+// address, pack elements, leave gaps, land once per page and drift
+// across pages, starting within 8 bytes of a page end so runs begin
+// with a straddling element, over mapped and unmapped pages.
+func TestElemsMatchScalar(t *testing.T) {
+	const n = 700
+	const base = 16 * PageSize
+	for _, size := range []int{1, 2, 4, 8} {
+		for _, step := range []uint64{0, uint64(size), uint64(size) + 3, PageSize, 5000} {
+			for back := uint64(0); back <= 8; back++ {
+				start := uint64(base + PageSize - back)
+				vals := make([]uint64, n)
+				for i := range vals {
+					vals[i] = uint64(i+1) * 0x9E3779B97F4A7C15
+				}
+
+				// Write: batch into one memory, scalar into another;
+				// every page either touched must hold the same bytes.
+				batch, scalar := NewMemory(), NewMemory()
+				batch.WriteElems(start, size, step, n, vals)
+				for i, v := range vals {
+					scalar.WriteUint(start+uint64(i)*step, size, v)
+				}
+				if batch.Footprint() != scalar.Footprint() {
+					t.Fatalf("size %d step %d start -%d: WriteElems mapped %d pages, scalar %d",
+						size, step, back, batch.Footprint(), scalar.Footprint())
+				}
+				var got, want [PageSize]byte
+				for pn := range scalar.pages {
+					batch.ReadBytes(pn*PageSize, got[:])
+					scalar.ReadBytes(pn*PageSize, want[:])
+					if got != want {
+						t.Fatalf("size %d step %d start -%d: page %#x differs after WriteElems", size, step, back, pn)
+					}
+				}
+
+				// Read: over what was written, and over a memory where
+				// only every other page is mapped.
+				sparse := NewMemory()
+				for pn := range scalar.pages {
+					if pn%2 == 0 {
+						scalar.ReadBytes(pn*PageSize, got[:])
+						sparse.WriteBytes(pn*PageSize, got[:])
+					}
+				}
+				for name, m := range map[string]*Memory{"mapped": scalar, "sparse": sparse, "empty": NewMemory()} {
+					pages := m.Footprint()
+					out := make([]uint64, n)
+					for i := range out {
+						out[i] = ^uint64(0) // unmapped elements must be overwritten with 0
+					}
+					m.ReadElems(start, size, step, n, out)
+					for i := range out {
+						if w := m.ReadUint(start+uint64(i)*step, size); out[i] != w {
+							t.Fatalf("size %d step %d start -%d, %s: ReadElems[%d] = %#x, ReadUint %#x",
+								size, step, back, name, i, out[i], w)
+						}
+					}
+					if m.Footprint() != pages {
+						t.Fatalf("size %d step %d start -%d, %s: reading mapped %d pages", size, step, back, name, m.Footprint()-pages)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTouchRangeMatchesTouch: TouchRange is n Touch calls — the same
+// per-access costs, total, counters at every level and prefetches —
+// for line sweeps, element streams, strides that skip lines and pages,
+// and a size that spans two lines, with the prefetcher on and off.
+func TestTouchRangeMatchesTouch(t *testing.T) {
+	shapes := []struct {
+		name       string
+		addr       uint64
+		size       int
+		step       uint64
+		n          int
+		write      bool
+		withoutOut bool
+	}{
+		{"line sweep", 0x100000, LineSize, LineSize, 40_000, false, false},
+		{"line sweep, total only", 0x100000, LineSize, LineSize, 40_000, true, true},
+		{"element stream", 0x100008, 8, 8, 30_000, true, false},
+		{"stride 3 lines", 0x40, 8, 3 * LineSize, 20_000, false, false},
+		{"page stride", 0, 4, PageSize, 2_000, true, false},
+		{"two-line span", 0x100000 + LineSize - 4, 8, LineSize, 20_000, false, false},
+		{"two-line span, unaligned step", LineSize - 3, 8, 72, 20_000, true, false},
+		{"same address", 0x2000, 8, 0, 100, false, false},
+	}
+	for _, prefetch := range []bool{false, true} {
+		for _, s := range shapes {
+			cfg := DefaultConfig()
+			cfg.Prefetch = prefetch
+			ranged, single := MustHierarchy(cfg), MustHierarchy(cfg)
+			// Two passes: the second runs over warm caches.
+			for pass := 0; pass < 2; pass++ {
+				var costs []uint64
+				if !s.withoutOut {
+					costs = make([]uint64, s.n)
+				}
+				total := ranged.TouchRange(s.addr, s.size, s.step, s.n, s.write, costs)
+				var want uint64
+				for i := 0; i < s.n; i++ {
+					c := single.Touch(s.addr+uint64(i)*s.step, s.size, s.write)
+					if costs != nil && costs[i] != c {
+						t.Fatalf("%s, prefetch=%v, pass %d: cost[%d] = %d, Touch %d", s.name, prefetch, pass, i, costs[i], c)
+					}
+					want += c
+				}
+				if total != want {
+					t.Errorf("%s, prefetch=%v, pass %d: total %d, sum of Touch %d", s.name, prefetch, pass, total, want)
+				}
+			}
+			type counters struct {
+				accesses, cycles, prefetches uint64
+				tlbHit, tlbMiss              uint64
+				l1Hit, l1Miss, l1Evict, l1WB uint64
+				l2Hit, l2Miss, l2Evict, l2WB uint64
+			}
+			read := func(h *Hierarchy) counters {
+				return counters{
+					h.Accesses(), h.Cycles(), h.Prefetches(),
+					h.TLB().Hits(), h.TLB().Misses(),
+					h.L1().Hits(), h.L1().Misses(), h.L1().Evictions(), h.L1().WritebackBytes(),
+					h.L2().Hits(), h.L2().Misses(), h.L2().Evictions(), h.L2().WritebackBytes(),
+				}
+			}
+			if got, want := read(ranged), read(single); got != want {
+				t.Errorf("%s, prefetch=%v: counters %+v, n Touch calls %+v", s.name, prefetch, got, want)
+			}
+			if prefetch && s.name == "line sweep" && ranged.Prefetches() == 0 {
+				t.Error("line sweep with the prefetcher on never prefetched")
+			}
+		}
+	}
+	if h := MustHierarchy(DefaultConfig()); h.TouchRange(0, 0, 8, 4, false, nil) != 0 || h.TouchRange(0, 8, 8, 0, false, nil) != 0 || h.Accesses() != 0 {
+		t.Error("empty TouchRange must cost nothing and count nothing")
+	}
+}

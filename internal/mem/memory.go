@@ -49,9 +49,7 @@ func (m *Memory) ReadBytes(addr uint64, dst []byte) {
 		if p := m.page(addr, false); p != nil {
 			copy(dst[:chunk], p[off:off+chunk])
 		} else {
-			for i := uint64(0); i < chunk; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:chunk])
 		}
 		dst = dst[chunk:]
 		addr += chunk
@@ -122,39 +120,65 @@ func (m *Memory) Uint32(addr uint64) uint32 { return uint32(m.ReadUint(addr, 4))
 // PutUint32 writes a 4-byte value at addr.
 func (m *Memory) PutUint32(addr uint64, v uint32) { m.WriteUint(addr, 4, uint64(v)) }
 
+// pageRun returns how many of the rest elements at a, a+step, ... lie
+// wholly on a's page (0 when the first one straddles the page end).
+func pageRun(a uint64, size int, step uint64, rest int) int {
+	off := a % PageSize
+	if PageSize-off < uint64(size) {
+		return 0
+	}
+	if step == 0 {
+		return rest
+	}
+	if k := (PageSize-off-uint64(size))/step + 1; k < uint64(rest) {
+		return int(k)
+	}
+	return rest
+}
+
 // ReadElems reads n size-byte little-endian elements at addr,
 // addr+step, ..., into dst[:n]. It is the strided batch form of
-// ReadUint: a page pointer is cached across elements, so a stream that
-// stays on one page costs one map lookup total instead of one per
-// element. size must be 1, 2, 4, or 8.
+// ReadUint, decoded one on-page run at a time: one page lookup and one
+// dispatch on size per run, not per element. size must be 1, 2, 4, or
+// 8.
 func (m *Memory) ReadElems(addr uint64, size int, step uint64, n int, dst []uint64) {
-	pn := ^uint64(0)
-	var p *[PageSize]byte
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; {
 		a := addr + uint64(i)*step
-		off := a % PageSize
-		if PageSize-off < uint64(size) {
-			// Element straddles a page boundary: slow path.
+		k := pageRun(a, size, step, n-i)
+		if k == 0 {
 			dst[i] = m.ReadUint(a, size)
-			pn = ^uint64(0)
+			i++
 			continue
 		}
-		if q := a / PageSize; q != pn {
-			pn, p = q, m.page(a, false)
-		}
+		run := dst[i : i+k]
+		i += k
+		p := m.page(a, false)
 		if p == nil {
-			dst[i] = 0
+			clear(run)
 			continue
 		}
+		off := a % PageSize
 		switch size {
 		case 8:
-			dst[i] = binary.LittleEndian.Uint64(p[off:])
+			for j := range run {
+				run[j] = binary.LittleEndian.Uint64(p[off:])
+				off += step
+			}
 		case 4:
-			dst[i] = uint64(binary.LittleEndian.Uint32(p[off:]))
+			for j := range run {
+				run[j] = uint64(binary.LittleEndian.Uint32(p[off:]))
+				off += step
+			}
 		case 2:
-			dst[i] = uint64(binary.LittleEndian.Uint16(p[off:]))
+			for j := range run {
+				run[j] = uint64(binary.LittleEndian.Uint16(p[off:]))
+				off += step
+			}
 		case 1:
-			dst[i] = uint64(p[off])
+			for j := range run {
+				run[j] = uint64(p[off])
+				off += step
+			}
 		default:
 			panic(fmt.Sprintf("mem: bad access size %d", size))
 		}
@@ -162,31 +186,42 @@ func (m *Memory) ReadElems(addr uint64, size int, step uint64, n int, dst []uint
 }
 
 // WriteElems writes n size-byte little-endian elements from src[:n] to
-// addr, addr+step, ... — the strided batch form of WriteUint, with the
-// same page-pointer caching as ReadElems. size must be 1, 2, 4, or 8.
+// addr, addr+step, ... — the strided batch form of WriteUint, encoded
+// one on-page run at a time like ReadElems. size must be 1, 2, 4, or 8.
 func (m *Memory) WriteElems(addr uint64, size int, step uint64, n int, src []uint64) {
-	pn := ^uint64(0)
-	var p *[PageSize]byte
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; {
 		a := addr + uint64(i)*step
-		off := a % PageSize
-		if PageSize-off < uint64(size) {
+		k := pageRun(a, size, step, n-i)
+		if k == 0 {
 			m.WriteUint(a, size, src[i])
-			pn = ^uint64(0)
+			i++
 			continue
 		}
-		if q := a / PageSize; q != pn {
-			pn, p = q, m.page(a, true)
-		}
+		run := src[i : i+k]
+		i += k
+		p := m.page(a, true)
+		off := a % PageSize
 		switch size {
 		case 8:
-			binary.LittleEndian.PutUint64(p[off:], src[i])
+			for _, v := range run {
+				binary.LittleEndian.PutUint64(p[off:], v)
+				off += step
+			}
 		case 4:
-			binary.LittleEndian.PutUint32(p[off:], uint32(src[i]))
+			for _, v := range run {
+				binary.LittleEndian.PutUint32(p[off:], uint32(v))
+				off += step
+			}
 		case 2:
-			binary.LittleEndian.PutUint16(p[off:], uint16(src[i]))
+			for _, v := range run {
+				binary.LittleEndian.PutUint16(p[off:], uint16(v))
+				off += step
+			}
 		case 1:
-			p[off] = byte(src[i])
+			for _, v := range run {
+				p[off] = byte(v)
+				off += step
+			}
 		default:
 			panic(fmt.Sprintf("mem: bad access size %d", size))
 		}

@@ -11,8 +11,8 @@ package mem
 // sentinel, so next[entries] is the most and prev[entries] the least
 // recently used slot) and found through a page → slot index. A lookup
 // of the page that is already most recent — every touch of a streaming
-// sweep but the first on each page — returns before the index is
-// probed at all.
+// sweep but the first on each page — compares one field (mru) and
+// returns before the list or the index is read at all.
 type TLB struct {
 	entries int
 	page    []uint64         // slot -> page number
@@ -20,6 +20,7 @@ type TLB struct {
 	next    []int32          // slot -> next less recently used slot
 	index   map[uint64]int32 // page number -> slot
 	used    int32            // slots filled since the last Flush
+	mru     uint64           // most recently used page number + 1; 0 = none
 	hits    uint64
 	misses  uint64
 }
@@ -34,6 +35,7 @@ func NewTLB(entries int) *TLB {
 		page:    make([]uint64, entries),
 		prev:    make([]int32, entries+1),
 		next:    make([]int32, entries+1),
+		index:   make(map[uint64]int32, entries),
 	}
 	t.Flush()
 	return t
@@ -44,11 +46,12 @@ func NewTLB(entries int) *TLB {
 // if the TLB is full.
 func (t *TLB) Lookup(addr uint64) bool {
 	pn := addr / PageSize
-	head := int32(t.entries)
-	if mru := t.next[head]; mru != head && t.page[mru] == pn {
+	if t.mru == pn+1 {
 		t.hits++
 		return true
 	}
+	t.mru = pn + 1
+	head := int32(t.entries)
 	s, hit := t.index[pn]
 	if hit {
 		t.hits++
@@ -82,8 +85,8 @@ func (t *TLB) unlink(s int32) {
 func (t *TLB) Flush() {
 	head := int32(t.entries)
 	t.prev[head], t.next[head] = head, head
-	t.used = 0
-	t.index = make(map[uint64]int32, t.entries)
+	t.used, t.mru = 0, 0
+	clear(t.index)
 }
 
 // Hits returns the number of lookups that hit.

@@ -17,13 +17,8 @@ import "xbgas/internal/mem"
 // per-line issue cost.
 func (pe *PE) touchLines(addr, bytes uint64, write bool) uint64 {
 	first, nLines := chunkLines(addr, bytes)
-	costs := pe.costs(nLines)
-	pe.node.Hier.TouchRange(first, mem.LineSize, mem.LineSize, nLines, write, costs)
-	var total uint64
-	for _, c := range costs {
-		total += c + loadCPU
-	}
-	return total
+	total := pe.node.Hier.TouchRange(first, mem.LineSize, mem.LineSize, nLines, write, nil)
+	return total + uint64(nLines)*loadCPU
 }
 
 // CopyChunk copies nelems contiguous elements of type dt from src to
