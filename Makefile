@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench perf perf-compare figures lint generate generate-check clean
+.PHONY: all build test race bench perf perf-compare figures lint clean
 
 all: build test
 
@@ -43,26 +43,10 @@ figures:
 	$(GO) run ./cmd/xbgas-bench -all
 
 # gofmt -l only lists offenders; fail the target (and CI) when the
-# list is non-empty. Covers the generator and the other tools too.
+# list is non-empty.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./... ./tools/...
-
-# Regenerate the typed API surface (internal/*/typed_gen.go, the test
-# registries, docs/API_SURFACE.md) from the //xbgas:typed annotations,
-# then hold the output to the same bar as hand-written code. The
-# emitter pipes everything through go/format, so gofmt here is a
-# tripwire, not a formatter.
-generate:
-	$(GO) generate ./...
-	@out="$$(gofmt -l internal docs 2>/dev/null)"; if [ -n "$$out" ]; then echo "generated output does not gofmt:"; echo "$$out"; exit 1; fi
-	$(GO) vet ./internal/xbrtime/ ./internal/core/ ./tools/gen/
-
-# Fail when the checked-in generated files drift from what the
-# annotations produce — the CI gate behind "go generate is
-# reproducible".
-generate-check: generate
-	git diff --exit-code -- '*_gen.go' docs/
 
 clean:
 	$(GO) clean ./...

@@ -263,7 +263,7 @@ func BenchmarkAblationUnroll(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					start := pe.Now()
-					if err := pe.PutInt64(buf, src, 256, 1, 1); err != nil {
+					if err := pe.Put(xbrtime.TypeInt64, buf, src, 256, 1, 1); err != nil {
 						return err
 					}
 					cycles = pe.Now() - start
@@ -354,7 +354,7 @@ func BenchmarkAblationOLB(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					start := pe.Now()
 					for p := 1; p < pe.NumPEs(); p++ {
-						if err := pe.GetInt64(dst, buf, 1, 1, p); err != nil {
+						if err := pe.Get(xbrtime.TypeInt64, dst, buf, 1, 1, p); err != nil {
 							return err
 						}
 					}
@@ -393,10 +393,10 @@ func BenchmarkPutGetLatency(b *testing.B) {
 		start := pe.Now()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := pe.PutInt64(buf, src, 1, 1, 1); err != nil {
+			if err := pe.Put(xbrtime.TypeInt64, buf, src, 1, 1, 1); err != nil {
 				return err
 			}
-			if err := pe.GetInt64(src, buf, 1, 1, 1); err != nil {
+			if err := pe.Get(xbrtime.TypeInt64, src, buf, 1, 1, 1); err != nil {
 				return err
 			}
 		}
@@ -454,7 +454,7 @@ func BenchmarkSpikeTransportPut(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := pe.PutInt64(buf, src, 64, 1, 1); err != nil {
+			if err := pe.Put(xbrtime.TypeInt64, buf, src, 64, 1, 1); err != nil {
 				return err
 			}
 		}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	xbgas-bench -all                # everything below, in order
-//	xbgas-bench -table 1|2          # Table 1 (types), Table 2 (ranks)
+//	xbgas-bench -table 1|2          # Table 1 (types + the C call surface), Table 2 (ranks)
 //	xbgas-bench -figure 1|2|3|4|5   # register file, memory model,
 //	                                # binomial tree, GUPS, Integer Sort
 //	xbgas-bench -compare            # xBGAS vs message-passing transport
@@ -234,6 +234,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	did := false
 	if *all || *table == 1 {
 		run("table 1", bench.Table1)
+		run("table 1 call surface", bench.APISurface)
 		did = true
 	}
 	if *all || *table == 2 {

@@ -18,6 +18,11 @@ func TestRunTables(t *testing.T) {
 	if !strings.Contains(out.String(), "ptrdiff_t") {
 		t.Errorf("table 1 output: %s", out.String())
 	}
+	// The 24 TYPENAME rows come first, then the C call surface they span.
+	if types, surface := strings.Index(out.String(), "ptrdiff      ptrdiff_t"),
+		strings.Index(out.String(), "| **total** | | **693** |"); types < 0 || surface < types {
+		t.Errorf("table 1 must be followed by the 693-function surface (offsets %d, %d)", types, surface)
+	}
 	out.Reset()
 	if code := run([]string{"-table", "2"}, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d", code)

@@ -14,7 +14,6 @@
 //   - internal/sim: a Spike-like functional multi-core simulator,
 //   - internal/xbrtime: the xBGAS runtime (symmetric heap, put/get, barrier),
 //   - internal/core: the paper's contribution — binomial-tree collectives,
-//   - internal/shmem: an OpenSHMEM-style baseline for comparison,
 //   - internal/bench: the GUPS and NAS IS evaluation workloads.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -47,13 +47,14 @@ func main() {
 			return err
 		}
 
-		// One-sided put: deposit a token in the right neighbour's inbox.
+		// One-sided put: deposit a token in the right neighbour's inbox
+		// (C: xbrtime_long_put — the type rides as an argument here).
 		token, err := pe.PrivateAlloc(8)
 		if err != nil {
 			return err
 		}
 		pe.Poke(xbrtime.TypeLong, token, uint64(int64(100+me)))
-		if err := pe.PutLong(inbox, token, 1, 1, (me+1)%n); err != nil {
+		if err := pe.Put(xbrtime.TypeLong, inbox, token, 1, 1, (me+1)%n); err != nil {
 			return err
 		}
 		if err := pe.Barrier(); err != nil {
@@ -62,7 +63,8 @@ func main() {
 		got := int64(pe.Peek(xbrtime.TypeLong, inbox))
 		say("PE %d received token %d from PE %d", me, got, (me+n-1)%n)
 
-		// Broadcast a parameter from PE 0 (binomial tree, Algorithm 1).
+		// Broadcast a parameter from PE 0 (binomial tree, Algorithm 1;
+		// C: xbrtime_long_broadcast).
 		param, err := pe.Malloc(8)
 		if err != nil {
 			return err
@@ -74,11 +76,12 @@ func main() {
 		if me == 0 {
 			pe.Poke(xbrtime.TypeLong, seed, 42)
 		}
-		if err := core.BroadcastLong(pe, param, seed, 1, 1, 0); err != nil {
+		if err := core.Broadcast(pe, xbrtime.TypeLong, param, seed, 1, 1, 0); err != nil {
 			return err
 		}
 
-		// Reduce everyone's (parameter + rank) to PE 0 (Algorithm 2).
+		// Reduce everyone's (parameter + rank) to PE 0 (Algorithm 2;
+		// C: xbrtime_long_reduce_sum).
 		contrib, err := pe.Malloc(8)
 		if err != nil {
 			return err
@@ -89,7 +92,7 @@ func main() {
 		}
 		p := int64(pe.Peek(xbrtime.TypeLong, param))
 		pe.Poke(xbrtime.TypeLong, contrib, uint64(p+int64(me)))
-		if err := core.ReduceSumLong(pe, sum, contrib, 1, 1, 0); err != nil {
+		if err := core.Reduce(pe, xbrtime.TypeLong, core.OpSum, sum, contrib, 1, 1, 0); err != nil {
 			return err
 		}
 		if me == 0 {

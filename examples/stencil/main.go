@@ -91,14 +91,14 @@ func main() {
 		sweep := 0
 		for ; sweep < maxSweeps; sweep++ {
 			// Halo exchange: push boundary cells into the neighbours'
-			// ghost slots with one-sided puts.
+			// ghost slots with one-sided puts (C: xbrtime_double_put).
 			if me > 0 {
-				if err := pe.PutDouble(at(cells, cellsPerPE+1), at(cells, 1), 1, 1, me-1); err != nil {
+				if err := pe.Put(dt, at(cells, cellsPerPE+1), at(cells, 1), 1, 1, me-1); err != nil {
 					return err
 				}
 			}
 			if me < n-1 {
-				if err := pe.PutDouble(at(cells, 0), at(cells, cellsPerPE), 1, 1, me+1); err != nil {
+				if err := pe.Put(dt, at(cells, 0), at(cells, cellsPerPE), 1, 1, me+1); err != nil {
 					return err
 				}
 			}
@@ -128,16 +128,17 @@ func main() {
 				pe.WriteElem(dt, at(cells, i), pe.ReadElem(dt, at(next, i)))
 			}
 
-			// Periodic convergence check: global max residual.
+			// Periodic convergence check: global max residual
+			// (C: xbrtime_double_reduce_max, then xbrtime_double_broadcast).
 			if sweep%checkEvery == checkEvery-1 {
 				pe.Poke(dt, resBuf, dt.FromFloat(localRes))
-				if err := core.ReduceMaxDouble(pe, resPriv, resBuf, 1, 1, 0); err != nil {
+				if err := core.Reduce(pe, dt, core.OpMax, resPriv, resBuf, 1, 1, 0); err != nil {
 					return err
 				}
 				if me == 0 {
 					pe.Poke(dt, resOut, pe.Peek(dt, resPriv))
 				}
-				if err := core.BroadcastDouble(pe, resOut, resOut, 1, 1, 0); err != nil {
+				if err := core.Broadcast(pe, dt, resOut, resOut, 1, 1, 0); err != nil {
 					return err
 				}
 				global := dt.Float(pe.Peek(dt, resOut))

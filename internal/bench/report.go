@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"xbgas/internal/core"
 	"xbgas/internal/fabric"
@@ -22,6 +23,89 @@ func Table1(w io.Writer) error {
 	fmt.Fprintf(w, "%-12s %s\n", "TYPENAME", "TYPE")
 	for _, dt := range xbrtime.Types {
 		fmt.Fprintf(w, "%-12s %s\n", dt.Name, dt.CName)
+	}
+	return nil
+}
+
+// APISurface renders the C call surface Table 1 spans (§4.7) as
+// markdown: core.CSurface summarised per Go entry point, the Table 1
+// types, and the dtype × operator validity matrix. docs/API_SURFACE.md
+// is this output, checked in (TestAPISurfaceDoc).
+func APISurface(w io.Writer) error {
+	fmt.Fprint(w, `# The typed API surface
+
+<!-- Rendered by bench.APISurface (xbgas-bench -table 1). Refresh:
+     UPDATE_API_SURFACE=1 go test ./internal/bench -run TestAPISurfaceDoc -->
+
+The paper's C library exposes explicit calls per data type (Table 1,
+§4.7): the TYPENAME, and for reductions the operator, are part of the
+function name. The Go entry points take both as values — an
+`+"`xbrtime.DType`"+` from `+"`xbrtime.Types`"+` and a `+"`core.ReduceOp`"+` — so one Go
+function serves a whole row below, and `+"`core.CSurface()`"+` lists the C
+name of every cell.
+
+## Entry points
+
+| Go call | C spelling | C functions |
+|---|---|---|
+`)
+	surface := core.CSurface()
+	for i := 0; i < len(surface); {
+		// One row per entry point, with the number of cells it spans.
+		e, n := surface[i], 1
+		for i+n < len(surface) && surface[i+n].Entry == e.Entry {
+			n++
+		}
+		call := "core." + e.Entry + "(pe, dt, "
+		if e.Pkg == "xbrtime" {
+			call = "pe." + e.Entry + "(dt, "
+		}
+		c := "xbrtime_TYPE_" + e.Call
+		if e.HasOp {
+			call += "op, "
+			c += "_OP"
+		}
+		note := ""
+		if strings.HasSuffix(e.Entry, "NB") {
+			note = " (non-blocking form)"
+		}
+		fmt.Fprintf(w, "| `%s…)` | `%s`%s | %d |\n", call, c, note, n)
+		i += n
+	}
+	fmt.Fprintf(w, "| **total** | | **%d** |\n", len(surface))
+
+	fmt.Fprint(w, "\n## Data types (`xbrtime.Types`, paper Table 1)\n\n")
+	fmt.Fprint(w, "| TYPENAME | C type | width | domain |\n|---|---|---|---|\n")
+	domains := [...]string{xbrtime.KindInt: "Int", xbrtime.KindUint: "Uint", xbrtime.KindFloat: "Float"}
+	for _, dt := range xbrtime.Types {
+		fmt.Fprintf(w, "| `%s` | `%s` | %d | %s |\n", dt.Name, dt.CName, dt.Width, domains[dt.Kind])
+	}
+
+	fmt.Fprint(w, `
+## Reduction operator validity (dtype × op)
+
+A ✓ cell is accepted by `+"`ReduceOp.ValidFor`"+` and has a C name under every
+reduction entry point; a — cell is rejected at run time by
+`+"`core.Combine`"+` and every reduction (bitwise operators are undefined for
+floating-point types, §4.4) and has no C name. The property tests
+assert there is no third state.
+
+| TYPENAME |`)
+	ops := core.AllReduceOps()
+	for _, op := range ops {
+		fmt.Fprintf(w, " %s |", op)
+	}
+	fmt.Fprint(w, "\n|---|", strings.Repeat("---|", len(ops)), "\n")
+	for _, dt := range xbrtime.Types {
+		fmt.Fprintf(w, "| `%s` |", dt.Name)
+		for _, op := range ops {
+			mark := "✓"
+			if !op.ValidFor(dt) {
+				mark = "—"
+			}
+			fmt.Fprintf(w, " %s |", mark)
+		}
+		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -287,7 +371,7 @@ func AblationUnroll(w io.Writer) error {
 					return err
 				}
 				start := pe.Now()
-				if err := pe.PutInt64(buf, src, 256, 1, 1); err != nil {
+				if err := pe.Put(xbrtime.TypeInt64, buf, src, 256, 1, 1); err != nil {
 					return err
 				}
 				cycles = pe.Now() - start
@@ -430,12 +514,12 @@ func MicroPointToPoint(w io.Writer) error {
 				return err
 			}
 			start := pe.Now()
-			if err := pe.PutInt64(buf, src, nelems, 1, 1); err != nil {
+			if err := pe.Put(xbrtime.TypeInt64, buf, src, nelems, 1, 1); err != nil {
 				return err
 			}
 			putCyc = pe.Now() - start
 			start = pe.Now()
-			if err := pe.GetInt64(src, buf, nelems, 1, 1); err != nil {
+			if err := pe.Get(xbrtime.TypeInt64, src, buf, nelems, 1, 1); err != nil {
 				return err
 			}
 			getCyc = pe.Now() - start
@@ -521,7 +605,7 @@ func AblationOLB(w io.Writer) error {
 					if p == pe.MyPE() {
 						continue
 					}
-					if err := pe.GetInt64(dst, buf, 1, 1, p); err != nil {
+					if err := pe.Get(xbrtime.TypeInt64, dst, buf, 1, 1, p); err != nil {
 						return err
 					}
 				}

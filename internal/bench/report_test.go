@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -37,6 +38,37 @@ func TestTable1Report(t *testing.T) {
 	}
 	if got := strings.Count(out, "\n"); got != 26 { // header x2 + 24 types
 		t.Errorf("Table 1 has %d lines, want 26", got)
+	}
+}
+
+// TestAPISurfaceDoc pins docs/API_SURFACE.md to the renderer behind
+// xbgas-bench -table 1. After adding a DType, a ReduceOp or an entry
+// point, refresh it with
+//
+//	UPDATE_API_SURFACE=1 go test ./internal/bench -run TestAPISurfaceDoc
+func TestAPISurfaceDoc(t *testing.T) {
+	var b strings.Builder
+	if err := APISurface(&b); err != nil {
+		t.Fatal(err)
+	}
+	const path = "../../docs/API_SURFACE.md"
+	if os.Getenv("UPDATE_API_SURFACE") != "" {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(onDisk) != b.String() {
+		t.Errorf("%s is stale; refresh with UPDATE_API_SURFACE=1 go test ./internal/bench -run TestAPISurfaceDoc", path)
+	}
+	for _, want := range []string{"| **total** | | **693** |", "`xbrtime_TYPE_reduce_scatter_OP`", "| `ptrdiff` | `ptrdiff_t` | 8 | Int |", "| `float` | ✓ | ✓ | ✓ | ✓ | — | — | — |"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("rendered surface is missing %q", want)
+		}
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 // The communication pattern is the binomial tree with recursive
 // halving (see binomialBroadcastPlan); the call executes the cached
 // plan for the current PE count.
-//
-//xbgas:typed rooted
 func Broadcast(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems, stride, root int) error {
 	if err := validate(pe, dt, nelems, stride, root); err != nil {
 		return err

@@ -673,6 +673,9 @@ func TestVectorValidation(t *testing.T) {
 	})
 }
 
+// TestTypedWrappers checks hand-computed results — independent of the
+// Combine/Identity oracle the type sweeps use — for an int broadcast
+// and sum, a bitwise reduction on an unsigned type and a double sum.
 func TestTypedWrappers(t *testing.T) {
 	const nPEs = 4
 	runSPMD(t, nPEs, func(pe *xbrtime.PE) error {
@@ -692,39 +695,39 @@ func TestTypedWrappers(t *testing.T) {
 		if pe.MyPE() == 0 {
 			pe.Poke(dtI, priv, 11)
 		}
-		if err := BroadcastInt(pe, buf, priv, 1, 1, 0); err != nil {
+		if err := Broadcast(pe, dtI, buf, priv, 1, 1, 0); err != nil {
 			return err
 		}
 		if got := pe.Peek(dtI, buf); got != 11 {
-			t.Errorf("BroadcastInt: PE %d got %d", pe.MyPE(), got)
+			t.Errorf("int broadcast: PE %d got %d", pe.MyPE(), got)
 		}
-		if err := ReduceSumInt(pe, out, buf, 1, 1, 0); err != nil {
+		if err := Reduce(pe, dtI, OpSum, out, buf, 1, 1, 0); err != nil {
 			return err
 		}
 		if pe.MyPE() == 0 {
 			if got := pe.Peek(dtI, out); got != 44 {
-				t.Errorf("ReduceSumInt = %d", got)
+				t.Errorf("int reduce sum = %d", got)
 			}
 		}
-		// Bitwise wrapper on an unsigned type.
+		// Bitwise operator on an unsigned type.
 		pe.Poke(xbrtime.TypeUint32, buf, 1<<uint(pe.MyPE()))
-		if err := ReduceOrUint32(pe, out, buf, 1, 1, 0); err != nil {
+		if err := Reduce(pe, xbrtime.TypeUint32, OpBor, out, buf, 1, 1, 0); err != nil {
 			return err
 		}
 		if pe.MyPE() == 0 {
 			if got := pe.Peek(xbrtime.TypeUint32, out); got != 0b1111 {
-				t.Errorf("ReduceOrUint32 = %#b", got)
+				t.Errorf("uint32 reduce or = %#b", got)
 			}
 		}
 		// Double sum with exactly representable values.
 		dtD := xbrtime.TypeDouble
 		pe.Poke(dtD, buf, dtD.FromFloat(float64(pe.MyPE())))
-		if err := ReduceSumDouble(pe, out, buf, 1, 1, 0); err != nil {
+		if err := Reduce(pe, dtD, OpSum, out, buf, 1, 1, 0); err != nil {
 			return err
 		}
 		if pe.MyPE() == 0 {
 			if got := dtD.Float(pe.Peek(dtD, out)); got != 6 {
-				t.Errorf("ReduceSumDouble = %v", got)
+				t.Errorf("double reduce sum = %v", got)
 			}
 		}
 		if err := pe.Free(buf); err != nil {

@@ -21,19 +21,17 @@
 // ("a barrier operation takes place at the end of each loop iteration
 // to ensure correct synchronization").
 //
-// Generic entry points (Broadcast, Reduce, Scatter, Gather, and the §7
-// extensions AllReduce, AllGather, ReduceScatter, Alltoall) take an
-// explicit xbrtime.DType; the generated typed wrappers in typed_gen.go
-// reproduce the paper's per-type C API surface
-// (xbrtime_TYPENAME_broadcast and friends, Table 1) in Go spelling.
-// Each generic entry point carries an //xbgas:typed annotation that
-// tools/gen expands across the full dtype × operator matrix — see
-// docs/API_SURFACE.md.
+// The entry points (Broadcast, Reduce, Scatter, Gather, and the §7
+// extensions AllReduce, AllGather, ReduceScatter, Alltoall) take the
+// element type as an xbrtime.DType value and, for reductions, the
+// operator as a ReduceOp. The paper's C library instead spells both
+// into the function name (xbrtime_TYPENAME_broadcast,
+// xbrtime_TYPENAME_reduce_OP, … — Table 1, §4.7); CSurface computes
+// that name table — every (entry point, type, operator) cell
+// ReduceOp.ValidFor admits — and docs/API_SURFACE.md is its rendering.
 //
 // Linear (flat) plans of all four collectives (AlgoLinear through the
 // *With entry points) serve as the algorithmic baseline for the §4.1 discussion that no single algorithm
 // wins everywhere, and an Algorithm selector provides the runtime
 // dispatch hook the paper plans for.
 package core
-
-//go:generate go run ../../tools/gen

@@ -33,7 +33,7 @@ func ExampleBroadcast() {
 		if pe.MyPE() == 1 {
 			pe.Poke(xbrtime.TypeLong, src, 42)
 		}
-		if err := core.BroadcastLong(pe, dest, src, 1, 1, 1); err != nil {
+		if err := core.Broadcast(pe, xbrtime.TypeLong, dest, src, 1, 1, 1); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -74,7 +74,7 @@ func ExampleReduce() {
 			return err
 		}
 		pe.Poke(xbrtime.TypeLong, src, uint64(pe.MyPE()+1))
-		if err := core.ReduceSumLong(pe, dest, src, 1, 1, 0); err != nil {
+		if err := core.Reduce(pe, xbrtime.TypeLong, core.OpSum, dest, src, 1, 1, 0); err != nil {
 			return err
 		}
 		if pe.MyPE() == 0 {
@@ -116,7 +116,7 @@ func ExampleScatter() {
 				pe.Poke(xbrtime.TypeLong, src+uint64(i*8), uint64(10*(i+1)))
 			}
 		}
-		if err := core.ScatterLong(pe, dest, src, msgs, disp, 4, 0); err != nil {
+		if err := core.Scatter(pe, xbrtime.TypeLong, dest, src, msgs, disp, 4, 0); err != nil {
 			return err
 		}
 		mine := make([]uint64, msgs[pe.MyPE()])

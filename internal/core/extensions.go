@@ -20,8 +20,6 @@ import (
 // rabenseifner or ring planner. src must be symmetric; dest must be
 // symmetric as well since the distribution phase writes it on every
 // PE.
-//
-//xbgas:typed reduce c=allreduce
 func AllReduce(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride int) error {
 	return AllReduceWith(pe, AlgoAuto, dt, op, dest, src, nelems, stride)
 }
@@ -32,8 +30,6 @@ func AllReduce(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, 
 // same closed-form equal chunking the large-message broadcast uses —
 // at dest. Both buffers must be symmetric; the collective is rootless
 // and contiguous (stride 1).
-//
-//xbgas:typed reduce c=reduce_scatter
 func ReduceScatter(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems int) error {
 	return ReduceScatterWith(pe, AlgoAuto, dt, op, dest, src, nelems)
 }
@@ -46,8 +42,6 @@ func ReduceScatter(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint
 // with a full-payload broadcast put-tree over one staging buffer (see
 // binomialAllGatherPlan), large ones land on the ring or
 // recursive-doubling planner. dest must be symmetric.
-//
-//xbgas:typed vector c=allgather
 func AllGather(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems int) error {
 	return AllGatherWith(pe, AlgoAuto, dt, dest, src, peMsgs, peDisp, nelems)
 }
@@ -64,8 +58,6 @@ func AllGather(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDis
 // barrier closes the exchange. The executor waits on and returns every
 // issued handle whether the round succeeds or fails, so the pooled
 // handle slice can never leak.
-//
-//xbgas:typed rootless
 func Alltoall(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems int) error {
 	if !dt.Valid() {
 		return fmt.Errorf("core: invalid data type %+v", dt)

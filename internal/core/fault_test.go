@@ -89,7 +89,7 @@ func TestFaultThenRecovery(t *testing.T) {
 			return err
 		}
 		if pe.MyPE() == 0 {
-			return pe.PutInt64(buf, src, 1, 1, 1)
+			return pe.Put(xbrtime.TypeInt64, buf, src, 1, 1, 1)
 		}
 		return nil
 	})
@@ -116,7 +116,7 @@ func TestFaultThenRecovery(t *testing.T) {
 		if pe.MyPE() == 0 {
 			src, _ := pe.PrivateAlloc(8)
 			pe.Poke(xbrtime.TypeInt64, src, 41)
-			return pe.PutInt64(buf, src, 1, 1, 1)
+			return pe.Put(xbrtime.TypeInt64, buf, src, 1, 1, 1)
 		}
 		return nil
 	})

@@ -19,8 +19,6 @@ import (
 // child subtree's contiguous block at every round; the root finally
 // reorders the virtual-rank-ordered staging buffer into dest (see
 // binomialGatherPlan).
-//
-//xbgas:typed vector
 func Gather(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
 	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
 		return err

@@ -17,8 +17,6 @@ import (
 // Data flows leaves→root with recursive doubling (see
 // binomialReducePlan); the call executes the cached plan for the
 // current PE count.
-//
-//xbgas:typed reduce
 func Reduce(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride, root int) error {
 	if err := validate(pe, dt, nelems, stride, root); err != nil {
 		return err

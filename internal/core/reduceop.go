@@ -12,27 +12,20 @@ import (
 // bitwise XOR ... for non-floating point types" (§4.4).
 type ReduceOp uint8
 
-// Reduction operators. This const block is one of the three scanned
-// sources of truth behind the generated typed surface (tools/gen): the
-// iota order pairs each constant with its reduceOpNames entry, and the
-// //xbgas:intonly markers gate the operator out of the floating-point
-// rows of the dtype × op matrix.
+// Reduction operators. The iota order pairs each constant with its
+// reduceOpNames entry — the OP suffix of the C function names; which
+// types an operator applies to is ValidFor's to say.
 const (
 	OpSum ReduceOp = iota
 	OpProd
 	OpMin
 	OpMax
-	OpBand //xbgas:intonly
-	OpBor  //xbgas:intonly
-	OpBxor //xbgas:intonly
+	OpBand
+	OpBor
+	OpBxor
 )
 
 var reduceOpNames = [...]string{"sum", "prod", "min", "max", "and", "or", "xor"}
-
-// intOnlyOps mirrors the //xbgas:intonly markers above for run-time
-// validity checks; the generated-surface property tests pin the two in
-// lockstep.
-var intOnlyOps = [...]bool{OpBand: true, OpBor: true, OpBxor: true}
 
 // String returns the operator's short name as used in the C function
 // names (xbrtime_TYPENAME_reduce_OP).
@@ -43,18 +36,28 @@ func (op ReduceOp) String() string {
 	return fmt.Sprintf("op?%d", uint8(op))
 }
 
-// AllReduceOps lists every operator.
+// AllReduceOps lists every operator, in declaration order.
 func AllReduceOps() []ReduceOp {
-	return []ReduceOp{OpSum, OpProd, OpMin, OpMax, OpBand, OpBor, OpBxor}
+	ops := make([]ReduceOp, len(reduceOpNames))
+	for i := range ops {
+		ops[i] = ReduceOp(i)
+	}
+	return ops
 }
 
-// ValidFor reports whether the operator applies to dt: bitwise
-// operators are defined only for non-floating-point types.
+// ValidFor reports whether the operator applies to dt. It is the one
+// definition of the dtype × op matrix: the arithmetic operators apply
+// to every Table 1 type, the bitwise ones only to non-floating-point
+// types (§4.4). Combine and every reduction refuse an invalid cell,
+// and CSurface has no row for one.
 func (op ReduceOp) ValidFor(dt xbrtime.DType) bool {
-	if int(op) >= len(reduceOpNames) {
-		return false
+	switch op {
+	case OpSum, OpProd, OpMin, OpMax:
+		return true
+	case OpBand, OpBor, OpBxor:
+		return dt.Kind != xbrtime.KindFloat
 	}
-	return !(intOnlyOps[op] && dt.Kind == xbrtime.KindFloat)
+	return false
 }
 
 // combineCost is the ALU cycle charge per element combine.

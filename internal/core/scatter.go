@@ -19,8 +19,6 @@ import (
 // the data for each tree node and its children is contiguous and
 // ensures that a single put is sufficient at each stage" (see
 // binomialScatterPlan).
-//
-//xbgas:typed vector
 func Scatter(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
 	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
 		return err

@@ -43,7 +43,7 @@ func runWorkload(t *testing.T, rec *obs.Recorder) {
 		if err != nil {
 			return err
 		}
-		if err := core.ReduceSumLong(pe, out, dest, nelems, 1, 0); err != nil {
+		if err := core.Reduce(pe, xbrtime.TypeLong, core.OpSum, out, dest, nelems, 1, 0); err != nil {
 			return err
 		}
 		// One explicit put to the right neighbour on top of the

@@ -50,7 +50,7 @@ func TestDisseminationBarrierOrdering(t *testing.T) {
 		src, _ := pe.PrivateAlloc(8)
 		pe.Poke(TypeInt64, src, uint64(pe.MyPE()+500))
 		peer := (pe.MyPE() + 1) % 4
-		if err := pe.PutInt64(buf, src, 1, 1, peer); err != nil {
+		if err := pe.Put(TypeInt64, buf, src, 1, 1, peer); err != nil {
 			return err
 		}
 		if err := pe.Barrier(); err != nil {
@@ -144,18 +144,18 @@ func TestCommTraceObservesRemoteOnly(t *testing.T) {
 		}
 		pe.SetCommTrace(func(ev TraceEvent) { events = append(events, ev) })
 		src, _ := pe.PrivateAlloc(64)
-		if err := pe.PutInt64(buf, src, 4, 1, 1); err != nil {
+		if err := pe.Put(TypeInt64, buf, src, 4, 1, 1); err != nil {
 			return err
 		}
-		if err := pe.GetInt64(src, buf, 2, 1, 1); err != nil {
+		if err := pe.Get(TypeInt64, src, buf, 2, 1, 1); err != nil {
 			return err
 		}
 		// Self-put must not be traced.
-		if err := pe.PutInt64(buf, src, 1, 1, 0); err != nil {
+		if err := pe.Put(TypeInt64, buf, src, 1, 1, 0); err != nil {
 			return err
 		}
 		pe.SetCommTrace(nil)
-		if err := pe.PutInt64(buf, src, 1, 1, 1); err != nil {
+		if err := pe.Put(TypeInt64, buf, src, 1, 1, 1); err != nil {
 			return err
 		}
 		return nil

@@ -58,8 +58,7 @@ func (pe *PE) moveBytes(to *sim.Node, dst uint64, from *sim.Node, src, n uint64)
 // returns without waiting for delivery. Semantically it equals
 // PutNB(dt, dest, src, nelems, 1, target); the cost model differs as
 // described above. Degenerate and diagnostic paths (self target, the
-// Spike transport, Config.ReferencePath) delegate to the element
-// stream.
+// Spike transport) delegate to the element stream.
 func (pe *PE) PutChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle, error) {
 	if err := checkTransfer(dt, nelems, 1); err != nil {
 		return Handle{}, err
@@ -70,7 +69,7 @@ func (pe *PE) PutChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle
 	if nelems == 0 {
 		return Handle{}, nil
 	}
-	if target == pe.rank || pe.rt.cfg.Transport == TransportSpike || pe.rt.cfg.ReferencePath {
+	if target == pe.rank || pe.rt.cfg.Transport == TransportSpike {
 		return pe.put(dt, dest, src, nelems, 1, target, true)
 	}
 	start := pe.clock
@@ -141,7 +140,7 @@ func (pe *PE) GetChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle
 	if nelems == 0 {
 		return Handle{}, nil
 	}
-	if target == pe.rank || pe.rt.cfg.Transport == TransportSpike || pe.rt.cfg.ReferencePath {
+	if target == pe.rank || pe.rt.cfg.Transport == TransportSpike {
 		return pe.get(dt, dest, src, nelems, 1, target, true)
 	}
 	start := pe.clock

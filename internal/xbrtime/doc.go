@@ -44,9 +44,8 @@
 // internal/sim core, exercising the full ISA path; both transports
 // produce identical memory contents (see the equivalence tests).
 //
-// The per-type Put/Get surface (typed_gen.go) is generated from the
-// //xbgas:typed annotations on Put, Get, PutNB, and GetNB — see
-// tools/gen and docs/API_SURFACE.md.
+// Put, Get, PutNB and GetNB take the element type as a DType value —
+// one of the Types of paper Table 1 — where the C library spells it
+// into the function name (xbrtime_TYPENAME_put, …); core.CSurface
+// lists those names.
 package xbrtime
-
-//go:generate go run ../../tools/gen

@@ -60,16 +60,17 @@ func TestElemKernelsMatchScalarCanon(t *testing.T) {
 	}
 }
 
-// TestTypedTransferCostParity pins the zero-overhead contract of the
-// generated transfer wrappers: same virtual cycles and same allocation
-// count as the generic Put/Get entry points.
+// TestTypedTransferCostParity pins that the type argument is free: a
+// transfer's virtual cost depends on the element width alone, so the
+// Table 1 rows that share a width (long, long long, int64_t, size_t,
+// double, …) cost the same cycles through Put and through Get, and a
+// steady-state Put allocates nothing.
 func TestTypedTransferCostParity(t *testing.T) {
 	const nelems = 8
-	dt := TypeInt64
 
-	// measure runs one remote round trip on a fresh deterministic
-	// runtime and returns PE 0's virtual-clock delta.
-	measure := func(call func(pe *PE, dest, src uint64) error) uint64 {
+	// measure runs one remote transfer on a fresh deterministic runtime
+	// and returns PE 0's virtual-clock delta.
+	measure := func(call func(pe *PE, remote, local uint64) error) uint64 {
 		var delta uint64
 		rt := MustNew(Config{NumPEs: 2, Deterministic: true})
 		defer rt.Close()
@@ -84,12 +85,12 @@ func TestTypedTransferCostParity(t *testing.T) {
 			if pe.MyPE() != 0 {
 				return nil
 			}
-			src, err := pe.PrivateAlloc(8 * nelems)
+			priv, err := pe.PrivateAlloc(8 * nelems)
 			if err != nil {
 				return err
 			}
 			start := pe.Now()
-			if err := call(pe, buf, src); err != nil {
+			if err := call(pe, buf, priv); err != nil {
 				return err
 			}
 			delta = pe.Now() - start
@@ -101,34 +102,28 @@ func TestTypedTransferCostParity(t *testing.T) {
 		return delta
 	}
 
-	pairs := []struct {
-		name    string
-		typed   func(pe *PE, dest, src uint64) error
-		generic func(pe *PE, dest, src uint64) error
-	}{
-		{"put", func(pe *PE, dest, src uint64) error {
-			return pe.PutInt64(dest, src, nelems, 1, 1)
-		}, func(pe *PE, dest, src uint64) error {
-			return pe.Put(dt, dest, src, nelems, 1, 1)
-		}},
-		{"get", func(pe *PE, dest, src uint64) error {
-			return pe.GetInt64(src, dest, nelems, 1, 1)
-		}, func(pe *PE, dest, src uint64) error {
-			return pe.Get(dt, src, dest, nelems, 1, 1)
-		}},
-	}
-	for _, pair := range pairs {
-		typed := measure(pair.typed)
-		generic := measure(pair.generic)
-		if typed != generic {
-			t.Errorf("%s: typed wrapper took %d cycles, generic entry %d — wrappers must be free",
-				pair.name, typed, generic)
+	type cost struct{ put, get uint64 }
+	byWidth := map[int]cost{}
+	first := map[int]DType{}
+	for _, dt := range Types {
+		c := cost{
+			put: measure(func(pe *PE, remote, local uint64) error {
+				return pe.Put(dt, remote, local, nelems, 1, 1)
+			}),
+			get: measure(func(pe *PE, remote, local uint64) error {
+				return pe.Get(dt, local, remote, nelems, 1, 1)
+			}),
+		}
+		if want, seen := byWidth[dt.Width]; !seen {
+			byWidth[dt.Width], first[dt.Width] = c, dt
+		} else if c != want {
+			t.Errorf("%s costs put=%d get=%d cycles, %s of the same width put=%d get=%d",
+				dt, c.put, c.get, first[dt.Width], want.put, want.get)
 		}
 	}
 
-	// Allocation parity on a single-PE runtime (transfers to self run on
-	// one goroutine): steady state must be allocation-free for wrapper
-	// and generic entry alike.
+	// Transfers to self on a single-PE runtime run on one goroutine, so
+	// AllocsPerRun can drive them.
 	rt := MustNew(Config{NumPEs: 1})
 	defer rt.Close()
 	err := rt.Run(func(pe *PE) error {
@@ -140,24 +135,14 @@ func TestTypedTransferCostParity(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := pe.PutInt64(buf, src, nelems, 1, 0); err != nil {
-			return err
-		}
-		typed := testing.AllocsPerRun(50, func() {
-			if err := pe.PutInt64(buf, src, nelems, 1, 0); err != nil {
+		put := func() {
+			if err := pe.Put(TypeInt64, buf, src, nelems, 1, 0); err != nil {
 				t.Error(err)
 			}
-		})
-		generic := testing.AllocsPerRun(50, func() {
-			if err := pe.Put(dt, buf, src, nelems, 1, 0); err != nil {
-				t.Error(err)
-			}
-		})
-		if typed != generic {
-			t.Errorf("put: typed wrapper allocates %v/op, generic entry %v/op", typed, generic)
 		}
-		if typed != 0 {
-			t.Errorf("put: typed wrapper allocates %v/op in steady state, want 0", typed)
+		put()
+		if allocs := testing.AllocsPerRun(50, put); allocs != 0 {
+			t.Errorf("put allocates %v/op in steady state, want 0", allocs)
 		}
 		return nil
 	})

@@ -35,8 +35,6 @@ func (pe *PE) Wait(h Handle) {
 // address dest on PE target, reading and writing every stride-th
 // element (stride 1 = contiguous; the stride applies at both ends,
 // paper §3.3). Put blocks until the last element is delivered.
-//
-//xbgas:typed transfer
 func (pe *PE) Put(dt DType, dest, src uint64, nelems, stride int, target int) error {
 	h, err := pe.put(dt, dest, src, nelems, stride, target, false)
 	if err != nil {
@@ -48,8 +46,6 @@ func (pe *PE) Put(dt DType, dest, src uint64, nelems, stride int, target int) er
 
 // PutNB is the non-blocking form of Put: it returns once the last
 // element has been issued; Wait completes the transfer.
-//
-//xbgas:typed transfer
 func (pe *PE) PutNB(dt DType, dest, src uint64, nelems, stride int, target int) (Handle, error) {
 	return pe.put(dt, dest, src, nelems, stride, target, true)
 }
@@ -57,8 +53,6 @@ func (pe *PE) PutNB(dt DType, dest, src uint64, nelems, stride int, target int) 
 // Get copies nelems elements of type dt from address src on PE target
 // to local address dest, with the same stride contract as Put. Get
 // blocks until the last element has arrived.
-//
-//xbgas:typed transfer
 func (pe *PE) Get(dt DType, dest, src uint64, nelems, stride int, target int) error {
 	h, err := pe.get(dt, dest, src, nelems, stride, target, false)
 	if err != nil {
@@ -69,8 +63,6 @@ func (pe *PE) Get(dt DType, dest, src uint64, nelems, stride int, target int) er
 }
 
 // GetNB is the non-blocking form of Get.
-//
-//xbgas:typed transfer
 func (pe *PE) GetNB(dt DType, dest, src uint64, nelems, stride int, target int) (Handle, error) {
 	return pe.get(dt, dest, src, nelems, stride, target, true)
 }
@@ -132,10 +124,6 @@ func (pe *PE) putImpl(dt DType, dest, src uint64, nelems, stride int, target int
 	// order.
 	pe.lsYield()
 
-	if pe.rt.cfg.ReferencePath {
-		return pe.putReference(dt, dest, src, nelems, stride, target, nonblocking)
-	}
-
 	fab := pe.rt.machine.Fabric
 	targetNode := pe.rt.machine.Nodes[target]
 	pe.chargeOLB(target)
@@ -147,8 +135,8 @@ func (pe *PE) putImpl(dt DType, dest, src uint64, nelems, stride int, target int
 	// this PE's goroutine, so no lock is needed), read the values in
 	// one locked pass, and book the whole element stream in one fabric
 	// critical section. The per-element issue/arrival recurrence is
-	// evaluated inside SendStream and matches the reference loop cycle
-	// for cycle.
+	// evaluated inside SendStream and matches the element-at-a-time
+	// loop (refPutGet in the tests) cycle for cycle.
 	costs := pe.costs(nelems)
 	pe.node.Hier.TouchRange(src, w, step, nelems, false, costs)
 	for i := range costs {
@@ -172,57 +160,6 @@ func (pe *PE) putImpl(dt DType, dest, src uint64, nelems, stride int, target int
 	}
 	targetNode.LockedWriteElems(dest, w, step, nelems, vals)
 	pe.advanceTo(endIssue)
-	return Handle{completeAt: lastArrive, active: true}, nil
-}
-
-// putReference is the original element-at-a-time remote put. It books
-// the fabric one message per element; the batched path must agree with
-// it exactly (see the differential tests). Kept selectable via
-// Config.ReferencePath.
-func (pe *PE) putReference(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking bool) (Handle, error) {
-	w := dt.Width
-	step := uint64(stride * w)
-	fab := pe.rt.machine.Fabric
-	targetNode := pe.rt.machine.Nodes[target]
-	pe.chargeOLB(target)
-
-	unrolled := nonblocking || nelems >= pe.rt.cfg.UnrollThreshold
-	gap := issueGap(fab.Config())
-	transit := fab.TransitCost(pe.rank, target, 8+w)
-	window := uint64(pe.rt.cfg.InflightDepth) * gap
-	issue := pe.clock
-	var lastArrive uint64
-	for i := 0; i < nelems; i++ {
-		off := uint64(i) * step
-		// Source element read on the local hierarchy.
-		cost := pe.node.Hier.Touch(src+off, w, false)
-		raw := pe.node.LockedRead(src+off, w)
-		issue += cost + loadCPU
-
-		arrive, err := fab.Send(pe.rank, target, 8+w, issue)
-		if err != nil {
-			return Handle{}, err
-		}
-		if arrive > lastArrive {
-			lastArrive = arrive
-		}
-		targetNode.LockedWrite(dest+off, w, raw)
-
-		if unrolled {
-			// Pipelined (unrolled) issue: the next store leaves as soon
-			// as the NIC accepts another message — unless flow control
-			// throttles the stream because more than InflightDepth
-			// element stores are backed up in the network.
-			issue += gap
-			if backlog := arrive - transit; backlog > issue+window {
-				issue = backlog - window
-			}
-		} else {
-			// Strictly ordered element stores below the threshold.
-			issue = arrive
-		}
-	}
-	pe.advanceTo(issue)
 	return Handle{completeAt: lastArrive, active: true}, nil
 }
 
@@ -275,10 +212,6 @@ func (pe *PE) getImpl(dt DType, dest, src uint64, nelems, stride int, target int
 
 	pe.lsYield()
 
-	if pe.rt.cfg.ReferencePath {
-		return pe.getReference(dt, dest, src, nelems, stride, target, nonblocking)
-	}
-
 	fab := pe.rt.machine.Fabric
 	targetNode := pe.rt.machine.Nodes[target]
 	pe.chargeOLB(target)
@@ -314,56 +247,6 @@ func (pe *PE) getImpl(dt DType, dest, src uint64, nelems, stride int, target int
 	pe.node.LockedWriteElems(dest, w, step, nelems, vals)
 	pe.advanceTo(endIssue)
 	return Handle{completeAt: lastDone, active: true}, nil
-}
-
-// getReference is the original element-at-a-time remote get, kept
-// selectable via Config.ReferencePath as the differential baseline for
-// the batched path.
-func (pe *PE) getReference(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking bool) (Handle, error) {
-	w := dt.Width
-	step := uint64(stride * w)
-	fab := pe.rt.machine.Fabric
-	targetNode := pe.rt.machine.Nodes[target]
-	pe.chargeOLB(target)
-
-	unrolled := nonblocking || nelems >= pe.rt.cfg.UnrollThreshold
-	gap := issueGap(fab.Config())
-	transit := fab.TransitCost(pe.rank, target, 8) + fab.TransitCost(target, pe.rank, w)
-	window := uint64(pe.rt.cfg.InflightDepth) * gap
-	issue := pe.clock
-	var lastArrive uint64
-	for i := 0; i < nelems; i++ {
-		off := uint64(i) * step
-		// Request out, data back.
-		req, err := fab.Send(pe.rank, target, 8, issue+loadCPU)
-		if err != nil {
-			return Handle{}, err
-		}
-		data, err := fab.Send(target, pe.rank, w, req)
-		if err != nil {
-			return Handle{}, err
-		}
-		raw := targetNode.LockedRead(src+off, w)
-		// Destination element write on the local hierarchy.
-		cost := pe.node.Hier.Touch(dest+off, w, true)
-		pe.node.LockedWrite(dest+off, w, raw)
-		done := data + cost
-		if done > lastArrive {
-			lastArrive = done
-		}
-		if unrolled {
-			// Pipelined requests with the same flow-control window as
-			// the put path.
-			issue += gap
-			if backlog := data - transit; backlog > issue+window {
-				issue = backlog - window
-			}
-		} else {
-			issue = done
-		}
-	}
-	pe.advanceTo(issue)
-	return Handle{completeAt: lastArrive, active: true}, nil
 }
 
 // chargeOLB models the object-ID translation for a remote transfer.

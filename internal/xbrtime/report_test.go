@@ -54,7 +54,7 @@ func TestStatsReportSmallRun(t *testing.T) {
 			return err
 		}
 		peer := 1 - pe.MyPE()
-		if err := pe.PutInt64(buf, buf, 4, 1, peer); err != nil {
+		if err := pe.Put(TypeInt64, buf, buf, 4, 1, peer); err != nil {
 			return err
 		}
 		return pe.Barrier()
@@ -122,7 +122,7 @@ func TestStatsReportRoundBreakdown(t *testing.T) {
 		cs := pe.StartCollective("broadcast", "", 0, 4)
 		rs := pe.StartRound("broadcast.round", 0, 1-pe.MyPE(), 4)
 		if pe.MyPE() == 0 {
-			if err := pe.PutInt64(buf, buf, 4, 1, 1); err != nil {
+			if err := pe.Put(TypeInt64, buf, buf, 4, 1, 1); err != nil {
 				return err
 			}
 		}
@@ -161,10 +161,10 @@ func TestStatsReportClassedNICRows(t *testing.T) {
 			return err
 		}
 		// One put to the node-mate, one across nodes.
-		if err := pe.PutInt64(buf, buf, 4, 1, pe.MyPE()^1); err != nil {
+		if err := pe.Put(TypeInt64, buf, buf, 4, 1, pe.MyPE()^1); err != nil {
 			return err
 		}
-		if err := pe.PutInt64(buf, buf, 4, 1, (pe.MyPE()+2)%4); err != nil {
+		if err := pe.Put(TypeInt64, buf, buf, 4, 1, (pe.MyPE()+2)%4); err != nil {
 			return err
 		}
 		return pe.Barrier()
@@ -189,7 +189,7 @@ func TestStatsReportClassedNICRows(t *testing.T) {
 		if err := pe.Barrier(); err != nil {
 			return err
 		}
-		if err := pe.PutInt64(buf, buf, 4, 1, 1-pe.MyPE()); err != nil {
+		if err := pe.Put(TypeInt64, buf, buf, 4, 1, 1-pe.MyPE()); err != nil {
 			return err
 		}
 		return pe.Barrier()
@@ -223,7 +223,7 @@ func TestStatsReportCriticalPathTable(t *testing.T) {
 		cs := pe.StartCollective("broadcast", "broadcast/binomial", 0, 4)
 		start := pe.Now()
 		if pe.MyPE() == 0 {
-			if err := pe.PutInt64(buf, buf, 4, 1, 1); err != nil {
+			if err := pe.Put(TypeInt64, buf, buf, 4, 1, 1); err != nil {
 				return err
 			}
 			pe.StepLog().Note(obs.CatTransfer, start, pe.Now())

@@ -95,11 +95,6 @@ type Config struct {
 	// instead of the default base-class forms (eld/esd through the
 	// paired register) — the two addressing classes of paper §3.2.
 	SpikeRawClass bool
-	// ReferencePath makes the native transport use the original
-	// element-at-a-time put/get implementation instead of the batched
-	// stream path. The two paths book identical fabric timestamps; the
-	// differential tests run both and compare cycle for cycle.
-	ReferencePath bool
 	// Deterministic runs PEs in lockstep: a single execution token is
 	// handed to the runnable PE with the smallest virtual clock
 	// (ties to the lowest rank), and PEs yield it at communication

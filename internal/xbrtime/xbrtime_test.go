@@ -262,6 +262,79 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEveryGeneratedPutGetWrapper round-trips every Table 1 type
+// through the four transfer entry points: a blocking Put to PE 1 and Get
+// back, then the same through PutNB and GetNB. (The name dates from the
+// generated per-type wrappers; the tier-1 floor list pins it.)
+func TestEveryGeneratedPutGetWrapper(t *testing.T) {
+	for _, dt := range Types {
+		t.Run(dt.Name, func(t *testing.T) {
+			rt := newRT(t, 2)
+			defer rt.Close()
+			w := uint64(dt.Width)
+			err := rt.Run(func(pe *PE) error {
+				buf, err := pe.Malloc(w * 8)
+				if err != nil {
+					return err
+				}
+				if err := pe.Barrier(); err != nil {
+					return err
+				}
+				if pe.MyPE() != 0 {
+					return nil
+				}
+				src, err := pe.PrivateAlloc(w * 8)
+				if err != nil {
+					return err
+				}
+				back, err := pe.PrivateAlloc(w * 8)
+				if err != nil {
+					return err
+				}
+				val := func(k int) uint64 {
+					if dt.Kind == KindFloat {
+						return dt.FromFloat(float64(k) + 0.5)
+					}
+					return dt.Canon(uint64(2*k + 1))
+				}
+				for i := 0; i < 4; i++ {
+					pe.Poke(dt, src+uint64(i)*w, val(i))
+				}
+				if err := pe.Put(dt, buf, src, 4, 1, 1); err != nil {
+					return err
+				}
+				if err := pe.Get(dt, back, buf, 4, 1, 1); err != nil {
+					return err
+				}
+				for i := 0; i < 4; i++ {
+					if got := pe.Peek(dt, back+uint64(i)*w); got != val(i) {
+						t.Errorf("%s round trip elem %d: %s, want %s",
+							dt, i, dt.FormatValue(got), dt.FormatValue(val(i)))
+					}
+				}
+				h, err := pe.PutNB(dt, buf+4*w, src, 2, 1, 1)
+				if err != nil {
+					return err
+				}
+				pe.Wait(h)
+				h, err = pe.GetNB(dt, back, buf+4*w, 2, 1, 1)
+				if err != nil {
+					return err
+				}
+				pe.Wait(h)
+				if got := pe.Peek(dt, back+w); got != val(1) {
+					t.Errorf("%s NB round trip: %s, want %s",
+						dt, dt.FormatValue(got), dt.FormatValue(val(1)))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestPutWithStride(t *testing.T) {
 	rt := newRT(t, 2)
 	err := rt.Run(func(pe *PE) error {
@@ -718,7 +791,7 @@ func TestStatsReport(t *testing.T) {
 		}
 		if pe.MyPE() == 0 {
 			src, _ := pe.PrivateAlloc(64)
-			if err := pe.PutInt64(buf, src, 8, 1, 1); err != nil {
+			if err := pe.Put(TypeInt64, buf, src, 8, 1, 1); err != nil {
 				return err
 			}
 		}
