@@ -13,6 +13,8 @@
 //	xbgas-bench -ablation NAME      # tree|size|topology|unroll|root|olb
 //
 //	xbgas-bench -gups N             # one GUPS measurement on N PEs
+//	xbgas-bench -explain COLL -n N -bytes B [-topo T]
+//	                                # why auto picks what it picks for one call
 //
 // GUPS/IS parameters can be scaled with -gups-table, -gups-updates,
 // -is-keys, -is-maxkey, -is-iters. The fabric topology for kernels and
@@ -72,8 +74,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sweep       = fs.String("sweep", "", "message-size sweep for a collective: allreduce|allgather|reduce_scatter|broadcast|reduce")
 		scale       = fs.String("scale", "", "scale-out sweep (64-1024 PEs x flat/grouped/torus) for a collective: allreduce|allgather")
 		topo        = fs.String("topo", "", "fabric topology spec for kernels and sweeps: flat|ring|torus[:WxH]|hypercube|grouped:[Gx]P|dragonfly:RxP")
-		tune        = fs.Bool("tune", false, "calibrate the alpha-beta cost model on this machine and persist the tuning table")
-		tuning      = fs.String("tuning", "", "load a persisted tuning table for auto algorithm selection (default "+core.DefaultTuningPath+" when present)")
+		explain     = fs.String("explain", "", "explain auto selection for one `collective` call (with -n, -bytes, -topo): every candidate's dry-run price and the winner's critical path")
+		explainPEs  = fs.Int("n", 8, "PE count for -explain")
+		explainSize = fs.Int("bytes", 64, "payload bytes for -explain (8-byte elements)")
 		audit       = fs.Bool("audit", false, "audit the cost model: replay the collective grid and compare measured virtual cost against PlanCostShape")
 		auditPEs    = fs.Int("audit-pes", 8, "PE count for -audit (<=256 runs in deterministic lockstep)")
 		auditJSON   = fs.String("audit-json", "", "also write the -audit report as JSON to `file` (for tools/tracelens -audit)")
@@ -148,33 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *tune {
-		t, err := core.Calibrate()
-		if err != nil {
-			fmt.Fprintf(stderr, "xbgas-bench: tune: %v\n", err)
-			return 1
-		}
-		core.SetTuning(t)
-		path := *tuning
-		if path == "" {
-			path = core.DefaultTuningPath
-		}
-		if err := core.SaveTuning(path, t); err != nil {
-			fmt.Fprintf(stderr, "xbgas-bench: tune: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "tuned %s: alpha=%.0fns beta=%.2fns/B elem=%.2fns/B flag=%.0fns barrier=%.0fns/PE copy=%.2f/%.2fns/B combine=%.2f/%.2fns/B\n",
-			path, t.AlphaNs, t.BetaNsPerByte, t.ElemNsPerByte, t.FlagNs, t.BarrierNs,
-			t.CopyNsPerByte, t.CopyElemNsPerByte, t.CombineNsPerByte, t.CombineElemNsPerByte)
-		if *sweep == "" && *scale == "" {
-			return 0
-		}
-	} else if *tuning != "" {
-		if _, err := core.LoadTuning(*tuning); err != nil {
-			fmt.Fprintf(stderr, "xbgas-bench: %v\n", err)
-			return 1
-		}
-	}
 	if *algo != "" {
 		if _, ok := core.LookupPlanner(core.Algorithm(*algo)); !ok && *algo != string(core.AlgoAuto) {
 			fmt.Fprintf(stderr, "xbgas-bench: unknown algorithm %q (registered: %s)\n",
@@ -204,14 +180,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOut != "" || *metrics {
 		rec = obs.NewRecorder(obs.Options{Trace: *traceOut != "", Metrics: *metrics})
 		// Stamp the model identity into the recorder so the trace header
-		// carries it; tools/tracelens refuses to audit a trace against a
-		// mismatched tuning table.
+		// carries it; tools/tracelens refuses to re-price a trace recorded
+		// under another machine description or chunk override.
 		tn := core.CurrentTuning()
 		rec.SetModelMeta(obs.ModelMeta{
-			TuningVersion:      tn.Version,
-			TuningFabric:       tn.Fabric,
-			TuningCalibratedAt: tn.CalibratedAt,
-			ChunkBytes:         core.ChunkBytes(),
+			TuningVersion: tn.Version,
+			ChunkBytes:    core.ChunkBytes(),
 		})
 		gups.Runtime.Obs = rec
 		is.Runtime.Obs = rec
@@ -302,6 +276,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		run("scale "+*scale, func(w io.Writer) error { return bench.FigureScale(w, op) })
+		did = true
+	}
+	if *explain != "" {
+		run("explain "+*explain, func(w io.Writer) error {
+			return bench.ExplainAuto(w, bench.CollectiveOp(*explain), *explainPEs, *explainSize/8, *topo)
+		})
 		did = true
 	}
 	if *audit {

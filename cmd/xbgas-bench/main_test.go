@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"xbgas/internal/core"
 )
 
 func TestRunTables(t *testing.T) {
@@ -127,21 +125,34 @@ func TestRunAlgoListPerCollective(t *testing.T) {
 	}
 }
 
-func TestRunTuningFlag(t *testing.T) {
+func TestRunExplainFlag(t *testing.T) {
 	var out, errBuf strings.Builder
-	path := filepath.Join(t.TempDir(), "tuning.json")
-	// Persist the defaults so loading them back leaves global selection
-	// state unchanged for the rest of the package's tests.
-	if err := core.SaveTuning(path, core.DefaultTuning()); err != nil {
-		t.Fatal(err)
-	}
-	args := []string{"-tuning", path, "-gups", "2", "-gups-table", "4096", "-gups-updates", "64"}
+	args := []string{"-explain", "allreduce", "-n", "8", "-bytes", "64"}
 	if code := run(args, &out, &errBuf); code != 0 {
-		t.Fatalf("-tuning: exit %d: %s", code, errBuf.String())
+		t.Fatalf("-explain: exit %d: %s", code, errBuf.String())
+	}
+	for _, want := range []string{
+		"auto for allreduce, 8 PEs on flat, 64 B",
+		"allreduce/binomial", "allreduce/ring", "dry-run cycles",
+		"critical path of allreduce/", "barrier-wait",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-explain output missing %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Count(out.String(), "\n* ") != 1 {
+		t.Errorf("-explain must mark exactly one winner:\n%s", out.String())
 	}
 	errBuf.Reset()
-	if code := run([]string{"-tuning", filepath.Join(t.TempDir(), "missing.json"), "-table", "1"}, &out, &errBuf); code != 1 {
-		t.Errorf("missing tuning file: exit %d (%s)", code, errBuf.String())
+	if code := run([]string{"-explain", "bogus"}, &out, &errBuf); code != 1 {
+		t.Errorf("unknown -explain collective: exit %d (%s)", code, errBuf.String())
+	}
+	// Nothing is calibrated or loaded any more: the flags are gone.
+	for _, gone := range []string{"-tune", "-tuning=x.json"} {
+		errBuf.Reset()
+		if code := run([]string{gone, "-table", "1"}, &out, &errBuf); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (unknown flag)", gone, code)
+		}
 	}
 	errBuf.Reset()
 	if code := run([]string{"-sweep", "bogus"}, &out, &errBuf); code != 2 {

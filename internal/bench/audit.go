@@ -13,21 +13,12 @@ import (
 
 // Cost-model accuracy auditor (xbgas-bench -audit): replay a grid of
 // {collective, algorithm, size, topology} cells on the simulator,
-// compare each measured virtual-clock makespan against what
-// PlanCostShape predicted for the same plan, and report where the
-// model is mispriced.
-//
-// The comparison has a unit subtlety the report must respect: the
-// flat-shape coefficients (AlphaNs, BetaNsPerByte, ...) are calibrated
-// in HOST nanoseconds — they price what the host pays to simulate a
-// step, which is what AlgoAuto minimises on a flat fabric — while the
-// per-link-class coefficients a grouped shape swaps in are calibrated
-// on the VIRTUAL clock. Raw prediction/measurement ratios on flat
-// fabrics therefore carry a systematic unit scale. Selection only
-// needs relative order within a series, so the auditor fits one
-// geometric-mean scale per {topo, collective, algorithm} series and
-// reports both the raw relative error and the scale-normalised
-// residual; the latter is the number that actually indicts the model.
+// compare each measured completion interval against what
+// PlanCostShape — a dry run of the same plan — predicted, and report
+// where the model is mispriced. Both sides are virtual cycles, so the
+// raw relative error is the number: there is no unit scale to fit.
+// Cells run warm (one untimed call first) because the dry run prices a
+// warm machine.
 
 // AuditSizes is the default payload grid, in 8-byte elements: one
 // latency-bound point, one near the tuned crossovers, one
@@ -63,53 +54,39 @@ type AuditCell struct {
 	PEs        int    `json:"pes"`
 	Nelems     int    `json:"nelems"`
 	Bytes      int    `json:"bytes"`
-	// PredictedNs is PlanCostShape's price for the compiled plan;
-	// MeasuredCycles the lockstep (or free-running) virtual makespan
-	// per invocation; MeasuredHostNs the host wall time alongside.
-	PredictedNs    float64 `json:"predicted_ns"`
+	// Predicted is PlanCostShape's price for the compiled plan, in
+	// cycles; MeasuredCycles the mean lockstep (or free-running)
+	// completion interval of an invocation, first PE in to last PE out.
+	Predicted      float64 `json:"predicted_cycles"`
 	MeasuredCycles float64 `json:"measured_cycles"`
-	MeasuredHostNs float64 `json:"measured_host_ns"`
-	// RelErr is predicted/measured − 1 against the virtual clock, raw
-	// (unit scale included); ScaledErr the same after the series'
-	// geometric-mean scale, the model-quality number.
-	RelErr    float64 `json:"rel_err"`
-	ScaledErr float64 `json:"scaled_err"`
+	// RelErr is predicted/measured − 1.
+	RelErr float64 `json:"rel_err"`
 }
 
 // AuditSeries summarises one {topo, collective, algo} size series:
-// the fitted prediction→measurement scale and α–β linear fits of both
-// sides over bytes, whose residual comparison localises mispricing to
-// the latency or the bandwidth term.
+// α–β linear fits of both sides over bytes, whose comparison localises
+// mispricing to the latency or the bandwidth term.
 type AuditSeries struct {
 	Topo       string `json:"topo"`
 	Collective string `json:"collective"`
 	Algo       string `json:"algo"`
-	// Scale is the geometric mean of measured/predicted over the
-	// series: the unit conversion between the model's coefficients and
-	// the virtual clock. (Geometric, not least-squares: a quadratic
-	// fit is dominated by the largest cell and would hide the small
-	// cells' shape error inside the scale.)
-	Scale float64 `json:"scale"`
 	// Measured and predicted α–β fits: cost ≈ Alpha + Beta·bytes,
-	// least squares over the size grid. Predicted values are
-	// pre-scale (model units).
-	MeasAlphaCycles float64 `json:"meas_alpha_cycles"`
+	// least squares over the size grid, in cycles.
+	MeasAlpha       float64 `json:"meas_alpha_cycles"`
 	MeasBetaPerByte float64 `json:"meas_beta_per_byte"`
-	PredAlphaNs     float64 `json:"pred_alpha_ns"`
+	PredAlpha       float64 `json:"pred_alpha_cycles"`
 	PredBetaPerByte float64 `json:"pred_beta_per_byte"`
-	// MaxScaledErr is the series' worst |ScaledErr|.
-	MaxScaledErr float64 `json:"max_scaled_err"`
+	// MaxErr is the series' worst |RelErr|.
+	MaxErr float64 `json:"max_err"`
 }
 
 // AuditReport is the full -audit output: the model identity it was
 // run against, every cell, and the per-series summaries.
 type AuditReport struct {
-	PEs           int    `json:"pes"`
-	Lockstep      bool   `json:"lockstep"`
-	TuningVersion int    `json:"tuning_version"`
-	TuningFabric  string `json:"tuning_fabric"`
-	CalibratedAt  string `json:"tuning_calibrated_at,omitempty"`
-	ChunkBytes    int    `json:"chunk_bytes,omitempty"`
+	PEs           int  `json:"pes"`
+	Lockstep      bool `json:"lockstep"`
+	TuningVersion int  `json:"tuning_version"`
+	ChunkBytes    int  `json:"chunk_bytes,omitempty"`
 
 	Cells  []AuditCell   `json:"cells"`
 	Series []AuditSeries `json:"series"`
@@ -129,12 +106,11 @@ func defaultGroupedSpec(pes int) string {
 	return fmt.Sprintf("grouped:%d", p)
 }
 
-// auditAlgos returns the fixed algorithms audited for a collective on
-// a flat or grouped fabric: every registered planner that implements
-// it, minus the opt-in scatter-allgather and degenerate direct, and
-// minus the topology-scoped planners on flat fabrics (auto never
-// picks them there, so their flat pricing is untestable dead weight).
-func auditAlgos(op CollectiveOp, grouped bool) []core.Algorithm {
+// auditAlgos returns the fixed algorithms audited for a collective:
+// every registered planner that implements it — each is a candidate of
+// auto on every shape — minus the opt-in scatter-allgather and the
+// degenerate direct.
+func auditAlgos(op CollectiveOp) []core.Algorithm {
 	coll, ok := collOf(op)
 	if !ok {
 		return nil
@@ -143,9 +119,6 @@ func auditAlgos(op CollectiveOp, grouped bool) []core.Algorithm {
 	for _, name := range core.PlannerNames() {
 		a := core.Algorithm(name)
 		if a == core.AlgoScatterAllgather || a == core.AlgoDirect {
-			continue
-		}
-		if !grouped && (a == core.AlgoHier || a == core.AlgoPAT) {
 			continue
 		}
 		if pl, ok := core.LookupPlanner(a); ok && pl.Supports(coll) {
@@ -185,22 +158,19 @@ func RunAudit(opt AuditOptions) (*AuditReport, error) {
 		PEs:           pes,
 		Lockstep:      lockstep,
 		TuningVersion: tn.Version,
-		TuningFabric:  tn.Fabric,
-		CalibratedAt:  tn.CalibratedAt,
 		ChunkBytes:    core.ChunkBytes(),
 	}
 
 	const width = 8
 	for _, topo := range topos {
-		sh := topoShape(topo, pes)
-		grouped := sh.PerNode > 0 && sh.PerNode < pes
+		sh := TopoShape(topo, pes)
 		topoLabel := topo
 		if topoLabel == "" {
 			topoLabel = "flat"
 		}
 		for _, op := range colls {
 			coll, _ := collOf(op)
-			for _, algo := range auditAlgos(op, grouped) {
+			for _, algo := range auditAlgos(op) {
 				for _, nelems := range sizes {
 					seg := core.SelectSegments(coll, algo, pes, nelems, width)
 					p, err := core.CompilePlanFor(coll, algo, pes, seg, sh)
@@ -212,12 +182,12 @@ func RunAudit(opt AuditOptions) (*AuditReport, error) {
 					pred := core.PlanCostShape(p, tn, sh, nelems, width)
 					iters := 1
 					if nelems <= 1024 {
-						// Small cells are cheap; average a few invocations
-						// so one-off warmup (cold caches, first-touch) does
-						// not masquerade as a latency-term error.
+						// Small cells are cheap, and where in a congestion
+						// window a short call starts moves its cost by a few
+						// percent: average a few invocations.
 						iters = 4
 					}
-					pt, err := sweepCell(op, algo, pes, nelems, iters, topo, lockstep)
+					pt, err := sweepCell(op, algo, pes, nelems, iters, topo, lockstep, true)
 					if err != nil {
 						return nil, fmt.Errorf("bench: audit %s/%s n=%d topo=%q: %w",
 							op, algo, nelems, topoLabel, err)
@@ -229,12 +199,11 @@ func RunAudit(opt AuditOptions) (*AuditReport, error) {
 						PEs:            pes,
 						Nelems:         nelems,
 						Bytes:          nelems * width,
-						PredictedNs:    pred,
-						MeasuredCycles: pt.Cycles,
-						MeasuredHostNs: pt.HostNs,
+						Predicted:      pred,
+						MeasuredCycles: pt.SpanCycles,
 					}
-					if pt.Cycles > 0 {
-						cell.RelErr = pred/pt.Cycles - 1
+					if pt.SpanCycles > 0 {
+						cell.RelErr = pred/pt.SpanCycles - 1
 					}
 					rep.Cells = append(rep.Cells, cell)
 				}
@@ -245,9 +214,8 @@ func RunAudit(opt AuditOptions) (*AuditReport, error) {
 	return rep, nil
 }
 
-// fitSeries groups cells into {topo, collective, algo} series, fits
-// the per-series scale and α–β lines, and back-fills each cell's
-// ScaledErr.
+// fitSeries groups cells into {topo, collective, algo} series and fits
+// the per-series α–β lines.
 func (r *AuditReport) fitSeries() {
 	type key struct{ topo, coll, algo string }
 	groups := map[key][]int{}
@@ -260,38 +228,16 @@ func (r *AuditReport) fitSeries() {
 		groups[k] = append(groups[k], i)
 	}
 	for _, k := range order {
-		idx := groups[k]
-		var logSum float64
-		var logN int
-		for _, i := range idx {
+		ser := AuditSeries{Topo: k.topo, Collective: k.coll, Algo: k.algo}
+		var measPts, predPts [][2]float64
+		for _, i := range groups[k] {
 			c := &r.Cells[i]
-			if c.PredictedNs > 0 && c.MeasuredCycles > 0 {
-				logSum += math.Log(c.MeasuredCycles / c.PredictedNs)
-				logN++
-			}
-		}
-		s := 1.0
-		if logN > 0 {
-			s = math.Exp(logSum / float64(logN))
-		}
-		ser := AuditSeries{Topo: k.topo, Collective: k.coll, Algo: k.algo, Scale: s}
-		var mx float64
-		measPts := make([][2]float64, 0, len(idx))
-		predPts := make([][2]float64, 0, len(idx))
-		for _, i := range idx {
-			c := &r.Cells[i]
-			if c.MeasuredCycles > 0 {
-				c.ScaledErr = s*c.PredictedNs/c.MeasuredCycles - 1
-			}
-			if a := math.Abs(c.ScaledErr); a > mx {
-				mx = a
-			}
+			ser.MaxErr = math.Max(ser.MaxErr, math.Abs(c.RelErr))
 			measPts = append(measPts, [2]float64{float64(c.Bytes), c.MeasuredCycles})
-			predPts = append(predPts, [2]float64{float64(c.Bytes), c.PredictedNs})
+			predPts = append(predPts, [2]float64{float64(c.Bytes), c.Predicted})
 		}
-		ser.MaxScaledErr = mx
-		ser.MeasAlphaCycles, ser.MeasBetaPerByte = linFit(measPts)
-		ser.PredAlphaNs, ser.PredBetaPerByte = linFit(predPts)
+		ser.MeasAlpha, ser.MeasBetaPerByte = linFit(measPts)
+		ser.PredAlpha, ser.PredBetaPerByte = linFit(predPts)
 		r.Series = append(r.Series, ser)
 	}
 }
@@ -319,12 +265,12 @@ func linFit(pts [][2]float64) (alpha, beta float64) {
 	return alpha, beta
 }
 
-// WorstCells returns the k cells with the largest |ScaledErr|, worst
+// WorstCells returns the k cells with the largest |RelErr|, worst
 // first.
 func (r *AuditReport) WorstCells(k int) []AuditCell {
 	cells := append([]AuditCell(nil), r.Cells...)
 	sort.Slice(cells, func(i, j int) bool {
-		return math.Abs(cells[i].ScaledErr) > math.Abs(cells[j].ScaledErr)
+		return math.Abs(cells[i].RelErr) > math.Abs(cells[j].RelErr)
 	})
 	if k > len(cells) {
 		k = len(cells)
@@ -332,14 +278,12 @@ func (r *AuditReport) WorstCells(k int) []AuditCell {
 	return cells[:k]
 }
 
-// MaxScaledErr returns the worst |ScaledErr| across every cell — the
-// number the CI warn gate compares against its threshold.
-func (r *AuditReport) MaxScaledErr() float64 {
+// MaxErr returns the worst |RelErr| across every cell — the number the
+// CI gate compares against its threshold.
+func (r *AuditReport) MaxErr() float64 {
 	var mx float64
 	for _, c := range r.Cells {
-		if a := math.Abs(c.ScaledErr); a > mx {
-			mx = a
-		}
+		mx = math.Max(mx, math.Abs(c.RelErr))
 	}
 	return mx
 }
@@ -361,17 +305,13 @@ func (r *AuditReport) Markdown() string {
 		mode = "lockstep"
 	}
 	fmt.Fprintf(&b, "# Cost-model audit: %d PEs (%s)\n\n", r.PEs, mode)
-	fmt.Fprintf(&b, "Tuning: version %d, fabric %q", r.TuningVersion, r.TuningFabric)
-	if r.CalibratedAt != "" {
-		fmt.Fprintf(&b, ", calibrated %s", r.CalibratedAt)
-	}
+	fmt.Fprintf(&b, "Machine description version %d", r.TuningVersion)
 	if r.ChunkBytes > 0 {
 		fmt.Fprintf(&b, ", chunk %d B", r.ChunkBytes)
 	}
 	b.WriteString(".\n\n")
-	b.WriteString("Raw err is predicted/measured−1 against the virtual clock and includes\n" +
-		"the host-ns↔cycles unit scale on flat shapes; scaled err divides out one\n" +
-		"geometric-mean scale per series and is the model-quality number.\n")
+	b.WriteString("Predicted is the plan's dry run, measured the mean completion interval of\n" +
+		"a warm invocation; both are virtual cycles and err is predicted/measured−1.\n")
 
 	var topos []string
 	seen := map[string]bool{}
@@ -383,34 +323,30 @@ func (r *AuditReport) Markdown() string {
 	}
 	for _, topo := range topos {
 		fmt.Fprintf(&b, "\n## Topology %s\n\n", topo)
-		b.WriteString("| collective | algo | bytes | predicted | measured (cyc) | raw err | scaled err |\n")
-		b.WriteString("|---|---|---:|---:|---:|---:|---:|\n")
+		b.WriteString("| collective | algo | bytes | predicted (cyc) | measured (cyc) | err |\n")
+		b.WriteString("|---|---|---:|---:|---:|---:|\n")
 		for _, c := range r.Cells {
 			if c.Topo != topo {
 				continue
 			}
-			fmt.Fprintf(&b, "| %s | %s | %d | %.0f | %.0f | %+.1f%% | %+.1f%% |\n",
-				c.Collective, c.Algo, c.Bytes, c.PredictedNs, c.MeasuredCycles,
-				100*c.RelErr, 100*c.ScaledErr)
+			fmt.Fprintf(&b, "| %s | %s | %d | %.0f | %.0f | %+.1f%% |\n",
+				c.Collective, c.Algo, c.Bytes, c.Predicted, c.MeasuredCycles, 100*c.RelErr)
 		}
 	}
 
 	b.WriteString("\n## Per-series α–β fits\n\n")
-	b.WriteString("| topo | collective | algo | scale | meas α (cyc) | meas β (cyc/B) | pred α (ns) | pred β (ns/B) | max scaled err |\n")
-	b.WriteString("|---|---|---|---:|---:|---:|---:|---:|---:|\n")
+	b.WriteString("| topo | collective | algo | meas α (cyc) | meas β (cyc/B) | pred α (cyc) | pred β (cyc/B) | max err |\n")
+	b.WriteString("|---|---|---|---:|---:|---:|---:|---:|\n")
 	for _, s := range r.Series {
-		fmt.Fprintf(&b, "| %s | %s | %s | %.3f | %.0f | %.3f | %.0f | %.3f | %.1f%% |\n",
-			s.Topo, s.Collective, s.Algo, s.Scale,
-			s.MeasAlphaCycles, s.MeasBetaPerByte, s.PredAlphaNs, s.PredBetaPerByte,
-			100*s.MaxScaledErr)
+		fmt.Fprintf(&b, "| %s | %s | %s | %.0f | %.3f | %.0f | %.3f | %.1f%% |\n",
+			s.Topo, s.Collective, s.Algo,
+			s.MeasAlpha, s.MeasBetaPerByte, s.PredAlpha, s.PredBetaPerByte, 100*s.MaxErr)
 	}
 
-	worst := r.WorstCells(5)
 	b.WriteString("\n## Worst mispriced cells\n\n")
-	for i, c := range worst {
-		fmt.Fprintf(&b, "%d. %s/%s on %s, %d B: scaled err %+.1f%% (predicted %.0f, measured %.0f)\n",
-			i+1, c.Collective, c.Algo, c.Topo, c.Bytes, 100*c.ScaledErr,
-			c.PredictedNs, c.MeasuredCycles)
+	for i, c := range r.WorstCells(5) {
+		fmt.Fprintf(&b, "%d. %s/%s on %s, %d B: err %+.1f%% (predicted %.0f, measured %.0f)\n",
+			i+1, c.Collective, c.Algo, c.Topo, c.Bytes, 100*c.RelErr, c.Predicted, c.MeasuredCycles)
 	}
 	return b.String()
 }

@@ -34,8 +34,8 @@ func TestRunAuditStructure(t *testing.T) {
 	if rep.PEs != 4 {
 		t.Errorf("PEs = %d, want 4", rep.PEs)
 	}
-	if rep.TuningVersion != core.TuningVersion {
-		t.Errorf("TuningVersion = %d, want %d", rep.TuningVersion, core.TuningVersion)
+	if want := core.CurrentTuning().Version; rep.TuningVersion != want {
+		t.Errorf("TuningVersion = %d, want %d", rep.TuningVersion, want)
 	}
 	if len(rep.Cells) == 0 {
 		t.Fatal("audit produced no cells")
@@ -49,21 +49,19 @@ func TestRunAuditStructure(t *testing.T) {
 		if c.Bytes != c.Nelems*8 {
 			t.Errorf("cell bytes %d != nelems %d * 8", c.Bytes, c.Nelems)
 		}
-		if c.PredictedNs <= 0 || c.MeasuredCycles <= 0 {
+		if c.Predicted <= 0 || c.MeasuredCycles <= 0 {
 			t.Errorf("cell has non-positive cost: %+v", c)
 		}
 	}
-	// Flat audits must exclude the topology-scoped planners.
-	if algos["hierarchical"] || algos["pat"] {
-		t.Errorf("flat audit included topology-scoped planners: %v", algos)
-	}
-	if len(rep.Series) == 0 {
-		t.Fatal("audit produced no series")
-	}
-	for _, s := range rep.Series {
-		if s.Scale <= 0 {
-			t.Errorf("series %s/%s has non-positive scale %v", s.Collective, s.Algo, s.Scale)
+	// Every planner is a candidate of auto on every shape, so every
+	// planner is audited on every shape.
+	for _, want := range []string{"binomial", "linear", "ring", "hierarchical"} {
+		if !algos[want] {
+			t.Errorf("flat broadcast audit is missing %s: %v", want, algos)
 		}
+	}
+	if len(rep.Series) != len(algos) {
+		t.Fatalf("audit produced %d series for %d planners", len(rep.Series), len(algos))
 	}
 }
 
@@ -83,35 +81,31 @@ func TestRunAuditDeterministicMeasurement(t *testing.T) {
 	}
 }
 
-func TestAuditScaledErrAndWorstCells(t *testing.T) {
+func TestAuditWorstCells(t *testing.T) {
 	rep := smallAudit(t)
-	// The geometric-mean scale makes per-series log errors sum to zero,
-	// so scaled errors must straddle (or touch) zero within a series.
-	for _, s := range rep.Series {
-		var logSum float64
-		n := 0
-		for _, c := range rep.Cells {
-			if c.Algo != s.Algo {
-				continue
-			}
-			logSum += math.Log1p(c.ScaledErr)
-			n++
+	for _, c := range rep.Cells {
+		if want := c.Predicted/c.MeasuredCycles - 1; c.RelErr != want {
+			t.Errorf("%s/%s %d B: RelErr %v, want predicted/measured-1 = %v", c.Collective, c.Algo, c.Bytes, c.RelErr, want)
 		}
-		if n == 0 {
-			t.Fatalf("series %s/%s has no cells", s.Collective, s.Algo)
-		}
-		if math.Abs(logSum) > 1e-9 {
-			t.Errorf("series %s: scaled log errors sum to %v, want 0", s.Algo, logSum)
+		// The dry run replays the plan the cell ran: a 4-PE broadcast it
+		// misprices by a quarter would be a replay bug, not model error.
+		if math.Abs(c.RelErr) > 0.25 {
+			t.Errorf("%s/%s %d B: predicted %.0f vs measured %.0f cycles", c.Collective, c.Algo, c.Bytes, c.Predicted, c.MeasuredCycles)
 		}
 	}
 	worst := rep.WorstCells(3)
 	for i := 1; i < len(worst); i++ {
-		if math.Abs(worst[i].ScaledErr) > math.Abs(worst[i-1].ScaledErr) {
-			t.Error("WorstCells is not sorted by |scaled err|")
+		if math.Abs(worst[i].RelErr) > math.Abs(worst[i-1].RelErr) {
+			t.Error("WorstCells is not sorted by |err|")
 		}
 	}
-	if got := rep.MaxScaledErr(); len(worst) > 0 && got != math.Abs(worst[0].ScaledErr) {
-		t.Errorf("MaxScaledErr %v != worst cell %v", got, math.Abs(worst[0].ScaledErr))
+	if got := rep.MaxErr(); len(worst) > 0 && got != math.Abs(worst[0].RelErr) {
+		t.Errorf("MaxErr %v != worst cell %v", got, math.Abs(worst[0].RelErr))
+	}
+	for _, s := range rep.Series {
+		if s.MaxErr > rep.MaxErr() {
+			t.Errorf("series %s max err %v exceeds the report's %v", s.Algo, s.MaxErr, rep.MaxErr())
+		}
 	}
 }
 
@@ -123,9 +117,9 @@ func TestAuditReportRendering(t *testing.T) {
 	md := rep.Markdown()
 	for _, want := range []string{
 		"# Cost-model audit: 4 PEs (lockstep)",
-		"Tuning: version",
+		"Machine description version",
 		"## Topology flat",
-		"| collective | algo | bytes | predicted | measured (cyc) | raw err | scaled err |",
+		"| collective | algo | bytes | predicted (cyc) | measured (cyc) | err |",
 		"## Per-series α–β fits",
 		"## Worst mispriced cells",
 		"| broadcast | binomial |",
@@ -147,8 +141,8 @@ func TestAuditReportRendering(t *testing.T) {
 		t.Errorf("round-trip lost rows: %d/%d cells, %d/%d series",
 			len(back.Cells), len(rep.Cells), len(back.Series), len(rep.Series))
 	}
-	if back.Cells[0].ScaledErr != rep.Cells[0].ScaledErr {
-		t.Error("round-trip lost scaled_err")
+	if back.Cells[0].RelErr != rep.Cells[0].RelErr || back.Cells[0].Predicted != rep.Cells[0].Predicted {
+		t.Error("round-trip lost rel_err or predicted_cycles")
 	}
 }
 

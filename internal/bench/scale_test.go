@@ -9,10 +9,13 @@ import (
 
 // TestHierarchicalWinsGrouped64PE pins the scale-out acceptance
 // criterion: on a grouped fabric (64 PEs, 8 per node — inter-node
-// α ≈ 5× intra) the hierarchical planner beats every flat planner on
-// the virtual clock for 1 MiB allreduce and allgather, and auto
-// resolves to it. The documented margin is ≥1.5×; the test asserts
-// 1.2× to stay clear of booking-order jitter.
+// α ≈ 5× intra) the hierarchical planner beats every log-depth flat
+// planner on the virtual clock for 1 MiB allreduce and allgather — the
+// documented margin is ≥1.5×; the test asserts 1.2× to stay clear of
+// booking-order jitter — and auto lands within 5 % of the best of every
+// planner measured: the hierarchical one for allreduce, the flat ring
+// for allgather, whose 63 neighbour hops cross a node boundary only
+// every eighth time.
 func TestHierarchicalWinsGrouped64PE(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-PE 1MiB sweeps in -short mode")
@@ -21,34 +24,30 @@ func TestHierarchicalWinsGrouped64PE(t *testing.T) {
 	for _, op := range []CollectiveOp{OpAllReduce, OpAllGather} {
 		op := op
 		t.Run(string(op), func(t *testing.T) {
-			flat := []core.Algorithm{core.AlgoBinomial, core.AlgoRabenseifner}
-			if op == OpAllGather {
-				flat = append(flat, core.AlgoPAT)
-			}
-			hier, err := SweepCollective(op, core.AlgoHier, pes, nelems, 1, topo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			best := 0.0
-			for _, a := range flat {
+			cycles := func(a core.Algorithm) SweepPoint {
 				pt, err := SweepCollective(op, a, pes, nelems, 1, topo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if best == 0 || pt.Cycles < best {
-					best = pt.Cycles
+				return pt
+			}
+			trees := []core.Algorithm{core.AlgoBinomial, core.AlgoRabenseifner}
+			if op == OpAllGather {
+				trees = append(trees, core.AlgoPAT)
+			}
+			hier := cycles(core.AlgoHier).Cycles
+			best := cycles(core.AlgoRing).Cycles
+			for _, a := range trees {
+				c := cycles(a).Cycles
+				if c < 1.2*hier {
+					t.Errorf("%s: hierarchical %.0f cycles vs %s %.0f (%.2fx, want >= 1.2x)", op, hier, a, c, c/hier)
 				}
+				best = min(best, c)
 			}
-			if hier.Cycles <= 0 || best < 1.2*hier.Cycles {
-				t.Errorf("%s: hierarchical %.0f cycles vs best flat %.0f (%.2fx, want >= 1.2x)",
-					op, hier.Cycles, best, best/hier.Cycles)
-			}
-			auto, err := SweepCollective(op, core.AlgoAuto, pes, nelems, 1, topo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if auto.Resolved != core.AlgoHier {
-				t.Errorf("%s: auto resolved to %s on %s, want %s", op, auto.Resolved, topo, core.AlgoHier)
+			best = min(best, hier)
+			if auto := cycles(core.AlgoAuto); auto.Cycles > 1.05*best {
+				t.Errorf("%s: auto resolved to %s on %s, %.0f cycles against a best of %.0f",
+					op, auto.Resolved, topo, auto.Cycles, best)
 			}
 		})
 	}
@@ -75,7 +74,7 @@ func TestScaleTopos(t *testing.T) {
 			t.Fatalf("ScaleTopos(%d) = %v", pes, topos)
 		}
 		for _, spec := range topos[1:] {
-			if strings.HasPrefix(spec, "grouped") && topoShape(spec, pes).PerNode == 0 {
+			if strings.HasPrefix(spec, "grouped") && TopoShape(spec, pes).PerNode == 0 {
 				t.Errorf("ScaleTopos(%d): %q resolves to a flat shape", pes, spec)
 			}
 		}

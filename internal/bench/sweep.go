@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"xbgas/internal/core"
 	"xbgas/internal/fabric"
@@ -13,10 +12,9 @@ import (
 
 // Figure-style message-size sweeps for the rootless collectives: every
 // registered algorithm (plus auto) across 64 B – 1 MiB payloads, the
-// ablation behind the tuned crossover points in docs/PERF.md. Each
-// point reports both the virtual-clock makespan (the paper's metric)
-// and host wall time per invocation (what the tuning table's
-// coefficients predict), with the planner auto resolved to alongside.
+// grid behind the selection tables in docs/PERF.md. Each point reports
+// the virtual-clock makespan (the paper's metric, and what auto
+// minimises), with the planner auto resolved to alongside.
 
 // SweepSizes are the payload points of a collective sweep, in elements
 // of 8 bytes: 64 B to 1 MiB in powers of four.
@@ -35,10 +33,13 @@ type SweepPoint struct {
 	PEs      int
 	Nelems   int
 	Iters    int
-	// Cycles is the virtual-clock makespan per invocation; HostNs the
-	// host wall time per invocation on the slowest PE.
+	// Cycles is the virtual-clock makespan per invocation, the closing
+	// barrier's share included.
 	Cycles float64
-	HostNs float64
+	// SpanCycles is the mean completion interval of an invocation —
+	// first PE in to last PE out — the quantity core.PlanCostShape
+	// predicts.
+	SpanCycles float64
 }
 
 // sweepAlgos returns the algorithms worth sweeping for a collective:
@@ -74,18 +75,20 @@ func collOf(op CollectiveOp) (core.Collective, bool) {
 
 // SweepCollective measures one (collective, algorithm, PEs, nelems)
 // cell on the fabric named by the -topo spec ("" = flat): iters
-// invocations, timed on both clocks. The iteration count scales down
+// invocations on the virtual clock. The iteration count scales down
 // with the payload so large points stay affordable.
 func SweepCollective(op CollectiveOp, algo core.Algorithm, pes, nelems, iters int, topo string) (SweepPoint, error) {
-	return sweepCell(op, algo, pes, nelems, iters, topo, false)
+	return sweepCell(op, algo, pes, nelems, iters, topo, false, false)
 }
 
 // sweepCell is the shared measurement core of SweepCollective and the
 // cost-model auditor. deterministic runs the cell in lockstep mode so
 // the measured makespan is schedule-independent (the auditor compares
 // it against the cost model's prediction; a free-running measurement
-// would add scheduler noise to the error).
-func sweepCell(op CollectiveOp, algo core.Algorithm, pes, nelems, iters int, topo string, deterministic bool) (SweepPoint, error) {
+// would add scheduler noise to the error). warm makes one untimed
+// invocation first, so the timed ones find caches, plan cache and pools
+// as a second call of a program would.
+func sweepCell(op CollectiveOp, algo core.Algorithm, pes, nelems, iters int, topo string, deterministic, warm bool) (SweepPoint, error) {
 	if iters <= 0 {
 		iters = 1
 	}
@@ -94,7 +97,7 @@ func sweepCell(op CollectiveOp, algo core.Algorithm, pes, nelems, iters int, top
 		return SweepPoint{}, fmt.Errorf("bench: %q is not sweepable", op)
 	}
 	pt := SweepPoint{Op: op, Algo: algo, Topo: topo, PEs: pes, Nelems: nelems, Iters: iters}
-	pt.Resolved = algo.SelectFor(coll, pes, nelems, 8, topoShape(topo, pes))
+	pt.Resolved = algo.SelectFor(coll, pes, nelems, 8, TopoShape(topo, pes))
 
 	rt, err := xbrtime.New(xbrtime.Config{NumPEs: pes, TopoSpec: topo, Deterministic: deterministic})
 	if err != nil {
@@ -119,8 +122,26 @@ func sweepCell(op CollectiveOp, algo core.Algorithm, pes, nelems, iters int, top
 
 	var mu sync.Mutex
 	var makespan uint64
-	var hostNs int64
+	// Per-PE clocks around every invocation; a row belongs to its PE.
+	starts, ends := make([][]uint64, pes), make([][]uint64, pes)
+	call := func(pe *xbrtime.PE, src, dst uint64) error {
+		switch op {
+		case OpAllReduce:
+			return core.AllReduceWith(pe, algo, dt, core.OpSum, dst, src, nelems, 1)
+		case OpAllGather:
+			return core.AllGatherWith(pe, algo, dt, dst, src, msgs, disp, nelems)
+		case OpReduceScatter:
+			return core.ReduceScatterWith(pe, algo, dt, core.OpSum, dst, src, nelems)
+		case OpBroadcast:
+			return core.BroadcastWith(algo, pe, dt, dst, src, nelems, 1, 0)
+		case OpReduce:
+			return core.ReduceWith(algo, pe, dt, core.OpSum, dst, src, nelems, 1, 0)
+		}
+		return fmt.Errorf("bench: %q is not sweepable", op)
+	}
 	err = rt.Run(func(pe *xbrtime.PE) error {
+		me := pe.MyPE()
+		starts[me], ends[me] = make([]uint64, iters), make([]uint64, iters)
 		src, err := pe.Malloc(span)
 		if err != nil {
 			return err
@@ -132,42 +153,29 @@ func sweepCell(op CollectiveOp, algo core.Algorithm, pes, nelems, iters int, top
 		for i := 0; i < nelems; i++ {
 			pe.Poke(dt, src+uint64(i)*8, uint64(pe.MyPE()+i))
 		}
-		if err := pe.Barrier(); err != nil {
-			return err
-		}
-		startV := pe.Now()
-		startH := time.Now()
-		for it := 0; it < iters; it++ {
-			var err error
-			switch op {
-			case OpAllReduce:
-				err = core.AllReduceWith(pe, algo, dt, core.OpSum, dst, src, nelems, 1)
-			case OpAllGather:
-				err = core.AllGatherWith(pe, algo, dt, dst, src, msgs, disp, nelems)
-			case OpReduceScatter:
-				err = core.ReduceScatterWith(pe, algo, dt, core.OpSum, dst, src, nelems)
-			case OpBroadcast:
-				err = core.BroadcastWith(algo, pe, dt, dst, src, nelems, 1, 0)
-			case OpReduce:
-				err = core.ReduceWith(algo, pe, dt, core.OpSum, dst, src, nelems, 1, 0)
-			default:
-				err = fmt.Errorf("bench: %q is not sweepable", op)
-			}
-			if err != nil {
+		if warm {
+			if err := call(pe, src, dst); err != nil {
 				return err
 			}
 		}
 		if err := pe.Barrier(); err != nil {
 			return err
 		}
+		startV := pe.Now()
+		for it := 0; it < iters; it++ {
+			starts[me][it] = pe.Now()
+			if err := call(pe, src, dst); err != nil {
+				return err
+			}
+			ends[me][it] = pe.Now()
+		}
+		if err := pe.Barrier(); err != nil {
+			return err
+		}
 		elapsedV := pe.Now() - startV
-		elapsedH := time.Since(startH).Nanoseconds()
 		mu.Lock()
 		if elapsedV > makespan {
 			makespan = elapsedV
-		}
-		if elapsedH > hostNs {
-			hostNs = elapsedH
 		}
 		mu.Unlock()
 		if err := pe.Free(dst); err != nil {
@@ -179,17 +187,20 @@ func sweepCell(op CollectiveOp, algo core.Algorithm, pes, nelems, iters int, top
 		return pt, err
 	}
 	pt.Cycles = float64(makespan) / float64(iters)
-	pt.HostNs = float64(hostNs) / float64(iters)
+	for it := 0; it < iters; it++ {
+		first, last := starts[0][it], ends[0][it]
+		for p := range starts {
+			first, last = min(first, starts[p][it]), max(last, ends[p][it])
+		}
+		pt.SpanCycles += float64(last-first) / float64(iters)
+	}
 	return pt, nil
 }
 
-// topoShape resolves a -topo spec to the planner Shape it implies for
+// TopoShape resolves a -topo spec to the planner Shape it implies for
 // pes PEs; a bad or empty spec is flat (New will reject bad specs
 // properly — the shape only steers selection).
-func topoShape(topo string, pes int) core.Shape {
-	if topo == "" {
-		return core.Shape{}
-	}
+func TopoShape(topo string, pes int) core.Shape {
 	t, err := fabric.ParseTopo(topo, pes)
 	if err != nil {
 		return core.Shape{}
@@ -206,9 +217,8 @@ func RunSweep(op CollectiveOp, topo string) ([]SweepPoint, error) {
 	var pts []SweepPoint
 	for _, pes := range SweepPEs {
 		for _, nelems := range SweepSizes {
-			// Small points finish in microseconds of host time; average
-			// enough invocations that the host-side ratio column is
-			// signal rather than scheduler noise.
+			// Small points are cheap, and free-running clocks jitter:
+			// average enough invocations to steady the ratio column.
 			iters := 1
 			if nelems <= 2048 {
 				iters = 25
@@ -228,8 +238,8 @@ func RunSweep(op CollectiveOp, topo string) ([]SweepPoint, error) {
 // FigureSweep runs and prints the sweep for one collective as a
 // figure-style table: one block per PE count, one row per payload,
 // one column per algorithm (virtual cycles per invocation, the
-// fastest marked), with auto's resolution and host-time ratio to the
-// best fixed algorithm appended.
+// fastest marked), with auto's resolution and its ratio to the best
+// fixed algorithm appended.
 func FigureSweep(w io.Writer, op CollectiveOp, topo string) error {
 	pts, err := RunSweep(op, topo)
 	if err != nil {
@@ -253,14 +263,11 @@ func FigureSweep(w io.Writer, op CollectiveOp, topo string) error {
 		for _, a := range algos {
 			fmt.Fprintf(w, " %14s", a)
 		}
-		fmt.Fprintf(w, " %16s %10s %10s\n", "auto resolved", "virt ratio", "host ratio")
+		fmt.Fprintf(w, " %16s %10s\n", "auto resolved", "virt ratio")
 		for _, nelems := range SweepSizes {
 			fmt.Fprintf(w, "%12d", nelems*8)
-			// Best fixed by the virtual clock (deterministic) picks the
-			// asterisk and the headline ratio; host wall time gives a
-			// second, noisier ratio for the tuned coefficients.
+			// The best fixed planner picks the asterisk and the ratio.
 			bestVirt := SweepPoint{}
-			bestHost := SweepPoint{}
 			for _, a := range algos {
 				if a == core.AlgoAuto {
 					continue
@@ -268,9 +275,6 @@ func FigureSweep(w io.Writer, op CollectiveOp, topo string) error {
 				pt := cell[key(a, pes, nelems)]
 				if bestVirt.Algo == "" || pt.Cycles < bestVirt.Cycles {
 					bestVirt = pt
-				}
-				if bestHost.Algo == "" || pt.HostNs < bestHost.HostNs {
-					bestHost = pt
 				}
 			}
 			for _, a := range algos {
@@ -282,14 +286,11 @@ func FigureSweep(w io.Writer, op CollectiveOp, topo string) error {
 				fmt.Fprintf(w, " %13.0f%s", pt.Cycles, mark)
 			}
 			auto := cell[key(core.AlgoAuto, pes, nelems)]
-			vratio, hratio := 0.0, 0.0
+			vratio := 0.0
 			if bestVirt.Cycles > 0 {
 				vratio = auto.Cycles / bestVirt.Cycles
 			}
-			if bestHost.HostNs > 0 {
-				hratio = auto.HostNs / bestHost.HostNs
-			}
-			fmt.Fprintf(w, " %16s %9.2fx %9.2fx\n", auto.Resolved, vratio, hratio)
+			fmt.Fprintf(w, " %16s %9.2fx\n", auto.Resolved, vratio)
 		}
 	}
 	return nil

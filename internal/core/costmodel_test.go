@@ -1,54 +1,16 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 )
 
-func TestTuningSaveLoadRoundTrip(t *testing.T) {
-	defer SetTuning(DefaultTuning())
-	path := filepath.Join(t.TempDir(), "fabric", "tuning.json")
-	want := DefaultTuning()
-	want.Fabric = "roundtrip"
-	want.AlphaNs = 123
-	if err := SaveTuning(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTuning(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("LoadTuning = %+v, want %+v", got, want)
-	}
-	if cur := CurrentTuning(); cur != want {
-		t.Fatalf("LoadTuning did not install the table: %+v", cur)
-	}
-}
-
-func TestLoadTuningRejectsWrongVersion(t *testing.T) {
-	defer SetTuning(DefaultTuning())
-	path := filepath.Join(t.TempDir(), "tuning.json")
-	bad := DefaultTuning()
-	bad.Version = TuningVersion + 1
-	if err := SaveTuning(path, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTuning(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("LoadTuning(version mismatch) err = %v, want version error", err)
-	}
-	if _, err := LoadTuning(filepath.Join(t.TempDir(), "missing.json")); !os.IsNotExist(err) {
-		t.Fatalf("LoadTuning(missing) err = %v, want not-exist", err)
-	}
-}
-
-// The structural property the model exists for: at large payloads the
-// bandwidth-optimal plans must price below the binomial tree, and the
-// flat broadcast must price above it (the root serialises every byte).
+// The structural property a cost model exists for: at large payloads
+// the bandwidth-optimal plans must price below the binomial tree, and
+// the flat broadcast must price above it (the root serialises every
+// byte).
 func TestPlanCostOrdersLargeMessages(t *testing.T) {
-	tn := DefaultTuning()
+	tn := CurrentTuning()
 	const n, nelems, width = 8, 1 << 17, 8
 	cost := func(coll Collective, algo Algorithm) float64 {
 		seg := SelectSegments(coll, algo, n, nelems, width)
@@ -56,7 +18,7 @@ func TestPlanCostOrdersLargeMessages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", coll, algo, err)
 		}
-		return PlanCost(p, tn, nelems, width)
+		return PlanCostShape(p, tn, Shape{}, nelems, width)
 	}
 	if rab, bin := cost(CollAllReduce, AlgoRabenseifner), cost(CollAllReduce, AlgoBinomial); rab >= bin {
 		t.Errorf("1MiB allreduce: rabenseifner %.0f >= binomial %.0f", rab, bin)
@@ -69,31 +31,57 @@ func TestPlanCostOrdersLargeMessages(t *testing.T) {
 	}
 }
 
-// Auto decisions must react to the installed table: a fabric with free
-// bandwidth but enormous per-message latency pushes allreduce selection
-// to the shallowest plan available, and restoring the defaults brings
-// the bandwidth-optimal pick back (exercising the decision cache's
-// generation invalidation).
+// Auto decisions follow the machine description, not a table: on a
+// fabric whose every hop costs ten million cycles the round count is
+// all that matters and the allreduce pick can be no deeper than the
+// ring, and pricing on the default machine again gives the default
+// prices back (each description has its own pricing machine).
 func TestAutoReactsToTuning(t *testing.T) {
-	defer SetTuning(DefaultTuning())
-	const n, nelems, width = 8, 1 << 17, 8
-	before := AlgoAuto.Select(CollAllReduce, n, nelems, width)
-	if before != AlgoRabenseifner && before != AlgoRing {
-		t.Fatalf("default tuning pick = %s, want bandwidth-optimal", before)
+	key := keyOf(CollAllReduce, 8, 1<<17, 8, Shape{})
+	tn := CurrentTuning()
+	before := decide(key, tn, false)
+	if before.Winner != AlgoRabenseifner && before.Winner != AlgoRing {
+		t.Fatalf("default machine picks %s, want a bandwidth-optimal planner", before.Winner)
 	}
-	slow := DefaultTuning()
-	slow.AlphaNs = 1e9 // every message costs a second; round count is all that matters
-	slow.BarrierNs = 0
-	SetTuning(slow)
-	after := AlgoAuto.Select(CollAllReduce, n, nelems, width)
-	if pAfter, _ := CompilePlan(CollAllReduce, after, n); pAfter != nil {
-		pBefore, _ := CompilePlan(CollAllReduce, AlgoRing, n)
-		if pBefore != nil && pAfter.Depth > pBefore.Depth {
-			t.Errorf("latency-dominated tuning picked %s (depth %d) over shallower options", after, pAfter.Depth)
+	slow := tn
+	slow.Net.HopLatency = 1e7
+	after := decide(key, slow, false)
+	for i, c := range after.Candidates {
+		if c.Cycles <= before.Candidates[i].Cycles {
+			t.Errorf("%s: %d cycles on the slow fabric, %d on the default", c.Plan, c.Cycles, before.Candidates[i].Cycles)
 		}
 	}
-	SetTuning(DefaultTuning())
-	if again := AlgoAuto.Select(CollAllReduce, n, nelems, width); again != before {
-		t.Errorf("restoring tuning: pick = %s, want %s", again, before)
+	pAfter, _ := CompilePlan(CollAllReduce, after.Winner, key.n)
+	pRing, _ := CompilePlan(CollAllReduce, AlgoRing, key.n)
+	if pAfter.PipelineDepth() > pRing.PipelineDepth() {
+		t.Errorf("latency-dominated machine picked %s (depth %d) over shallower plans", after.Winner, pAfter.PipelineDepth())
+	}
+	if again := decide(key, tn, false); !reflect.DeepEqual(again, before) {
+		t.Errorf("default machine after the slow one: %+v, want %+v", again, before)
+	}
+}
+
+// A size bucket is priced at its lower edge whoever asks first: 1 025 B
+// and 2 047 B share one and resolve alike in either call order.
+func TestAutoDecisionIgnoresCallOrder(t *testing.T) {
+	defer invalidateAuto()
+	const n, width = 8, 1
+	for _, coll := range Collectives() {
+		if d := ExplainAuto(coll, n, 2047, width, Shape{}); d.Nelems != 1024 {
+			t.Fatalf("%s: a 2047 B call is priced at %d B, want 1024", coll, d.Nelems)
+		}
+		var got []Algorithm
+		for _, sizes := range [][2]int{{1025, 2047}, {2047, 1025}} {
+			invalidateAuto()
+			for _, nelems := range sizes {
+				got = append(got, AlgoAuto.Select(coll, n, nelems, width))
+			}
+		}
+		for _, a := range got {
+			if a != got[0] {
+				t.Errorf("%s: decisions %v differ with call order", coll, got)
+				break
+			}
+		}
 	}
 }

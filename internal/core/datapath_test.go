@@ -233,6 +233,15 @@ func (c pathCall) lineBound(p *Plan, n, me int) uint64 {
 	return bound
 }
 
+// rootedColl reports whether the collective takes a root argument.
+func rootedColl(coll Collective) bool {
+	switch coll {
+	case CollBroadcast, CollReduce, CollScatter, CollGather:
+		return true
+	}
+	return false
+}
+
 // chunkedCalls lists one 1 MiB call per distinct Chunked plan the
 // registry compiles for 8 PEs on a flat fabric.
 func chunkedCalls(t *testing.T, n, nelems int) []pathCall {

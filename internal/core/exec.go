@@ -248,7 +248,7 @@ func (e *execEnv) round(r *Round) error {
 		}
 		t0 := pe.Now()
 		err = e.step(&mine[i], r, &handles)
-		e.noteStep(mine[i].Kind, t0)
+		noteStep(e.slog, mine[i].Kind, t0, pe.Now(), pe.LastWaitBy())
 		if err != nil {
 			break
 		}
@@ -279,24 +279,23 @@ func (e *execEnv) round(r *Round) error {
 	return nil
 }
 
-// noteStep files the just-executed step's interval under its
-// attribution category; wait steps carry the releasing rank so the
-// critical-path extractor can follow the dependency to another PE.
-func (e *execEnv) noteStep(k StepKind, start uint64) {
-	end := e.pe.Now()
+// noteStep files a completed step's interval under its attribution
+// category; wait steps carry the releasing rank so the critical-path
+// extractor can follow the dependency to another PE.
+func noteStep(l *obs.StepLog, k StepKind, start, end uint64, by int) {
 	switch k {
 	case StepPut, StepGet:
-		e.slog.Note(obs.CatTransfer, start, end)
+		l.Note(obs.CatTransfer, start, end)
 	case StepCopy:
-		e.slog.Note(obs.CatCopy, start, end)
+		l.Note(obs.CatCopy, start, end)
 	case StepCombine:
-		e.slog.Note(obs.CatCombine, start, end)
+		l.Note(obs.CatCombine, start, end)
 	case StepSignal:
-		e.slog.Note(obs.CatSignal, start, end)
+		l.Note(obs.CatSignal, start, end)
 	case StepWaitFlag:
-		e.slog.NoteWait(obs.CatFlagWait, start, end, e.pe.LastWaitBy())
+		l.NoteWait(obs.CatFlagWait, start, end, by)
 	case StepBarrier:
-		e.slog.NoteWait(obs.CatBarrierWait, start, end, e.pe.LastWaitBy())
+		l.NoteWait(obs.CatBarrierWait, start, end, by)
 	}
 }
 
@@ -413,7 +412,9 @@ func (e *execEnv) step(s *Step, r *Round, handles *[]xbrtime.Handle) error {
 // Blocks times, each repetition advancing the block-indexed operands by
 // BStride. The expansion happens here rather than at compile time so a
 // plan stays O(rounds·actors) in memory even when every actor
-// redistributes n blocks.
+// redistributes n blocks. One copy is advanced in place: it escapes
+// through e.step, so Step.rep per repetition is a heap allocation each
+// (1 500 allocs/op on the 64-PE hierarchical plans).
 func (e *execEnv) stepBlocks(s *Step, r *Round, handles *[]xbrtime.Handle) error {
 	c := *s
 	c.Blocks = 0
@@ -428,6 +429,19 @@ func (e *execEnv) stepBlocks(s *Step, r *Round, handles *[]xbrtime.Handle) error
 		}
 	}
 	return nil
+}
+
+// rep returns repetition t of a multi-block step as a single-block
+// step: the block-indexed operands advanced by t·BStride.
+func (s *Step) rep(t int) Step {
+	c := *s
+	c.Blocks = 0
+	d := t * s.BStride
+	c.Dst, c.Src = shiftLoc(c.Dst, d), shiftLoc(c.Src, d)
+	if c.Count == CountBlock || c.Count == CountRun {
+		c.CV += d
+	}
+	return c
 }
 
 // shiftLoc advances a location's block operand by d when the offset is
@@ -493,6 +507,10 @@ func (e *execEnv) addr(l Loc, strided bool) uint64 {
 	case OffAdj:
 		return base + uint64(e.adjOf(l.V))*e.w
 	case OffDisp:
+		if e.a.PeDisp == nil {
+			// A dry run has no caller vectors: equal blocks in rank order.
+			return base + uint64(e.adjOf(l.V))*e.w
+		}
 		return base + uint64(e.a.PeDisp[LogicalRank(l.V, e.a.Root, e.n)])*e.w
 	case OffSeg:
 		off := e.segOff(l.V)
@@ -515,11 +533,18 @@ func (e *execEnv) segOff(k int) int {
 	return k*e.segPer + m
 }
 
+// equalBlocks reports whether blocks follow the closed-form equal
+// chunking of nelems over the PEs: AdjChunks plans, and any plan in a
+// dry run, which has no pe_msgs and prices equal blocks.
+func (e *execEnv) equalBlocks() bool {
+	return e.p.Adj == AdjChunks || e.a.PeMsgs == nil
+}
+
 // adjOf is the adjusted displacement of virtual rank v — adj_disp in
-// AdjVector mode, the closed-form chunk prefix v·per + min(v, rem) in
-// AdjChunks mode. v may be NPEs (the total element count).
+// AdjVector mode, the closed-form chunk prefix v·per + min(v, rem) for
+// equal blocks. v may be NPEs (the total element count).
 func (e *execEnv) adjOf(v int) int {
-	if e.p.Adj == AdjChunks {
+	if e.equalBlocks() {
 		m := v
 		if m > e.rem {
 			m = e.rem
@@ -531,7 +556,7 @@ func (e *execEnv) adjOf(v int) int {
 
 // blockOf is virtual rank v's own block size.
 func (e *execEnv) blockOf(v int) int {
-	if e.p.Adj == AdjChunks {
+	if e.equalBlocks() {
 		if v < e.rem {
 			return e.per + 1
 		}
@@ -578,13 +603,9 @@ func (e *execEnv) stepCount(s *Step) int {
 		return e.count(s)
 	}
 	total := 0
-	c := *s
-	c.Blocks = 0
 	for t := 0; t < s.Blocks; t++ {
+		c := s.rep(t)
 		total += e.count(&c)
-		if c.Count == CountBlock || c.Count == CountRun {
-			c.CV += s.BStride
-		}
 	}
 	return total
 }

@@ -13,11 +13,10 @@ import (
 
 // AllReduce combines nelems elements from src on every PE with op and
 // delivers the result to dest on every PE: the explicit
-// reduction-to-all call of §7. The algorithm is auto-selected from the
-// calibrated cost model: small payloads compose the reduce get-tree
-// with the broadcast put-tree over one staging buffer (see
-// binomialAllReducePlan), large ones land on the bandwidth-optimal
-// rabenseifner or ring planner. src must be symmetric; dest must be
+// reduction-to-all call of §7. The algorithm is auto-selected by dry
+// run (costmodel.go): tree compositions such as binomialAllReducePlan
+// for small payloads, the bandwidth-optimal rabenseifner or ring
+// planner for large ones. src must be symmetric; dest must be
 // symmetric as well since the distribution phase writes it on every
 // PE.
 func AllReduce(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride int) error {
@@ -37,11 +36,8 @@ func ReduceScatter(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint
 // AllGather concatenates every PE's contribution (peMsgs[l] elements at
 // src on logical rank l, landing at element offset peDisp[l]) into dest
 // on every PE: the gather-to-all call of §7 and the analogue of
-// OpenSHMEM's collect. The algorithm is auto-selected from the
-// calibrated cost model: small payloads compose the gather get-tree
-// with a full-payload broadcast put-tree over one staging buffer (see
-// binomialAllGatherPlan), large ones land on the ring or
-// recursive-doubling planner. dest must be symmetric.
+// OpenSHMEM's collect. The algorithm is auto-selected by dry run
+// (costmodel.go). dest must be symmetric.
 func AllGather(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems int) error {
 	return AllGatherWith(pe, AlgoAuto, dt, dest, src, peMsgs, peDisp, nelems)
 }

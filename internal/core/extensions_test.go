@@ -361,11 +361,10 @@ func TestAutoSelectsLargeMessageAlgorithm(t *testing.T) {
 	// bisection bandwidth the default fabric does not have, so auto
 	// never selects it whatever the size.
 	big := (16 << 10) / 8 // 16 KiB of int64
-	if got := AlgoAuto.Select(CollBroadcast, 8, big, 8); got == AlgoScatterAllgather {
-		t.Errorf("auto(large broadcast) picked the opt-in algorithm %s", got)
-	}
-	if got := AlgoAuto.Select(CollBroadcast, 8, 16, 8); got != AlgoBinomial {
-		t.Errorf("auto(small) = %s", got)
+	for _, nelems := range []int{16, big, 1 << 17} {
+		if got := AlgoAuto.Select(CollBroadcast, 8, nelems, 8); got == AlgoScatterAllgather {
+			t.Errorf("auto(%d-element broadcast) picked the opt-in algorithm %s", nelems, got)
+		}
 	}
 	// Large allreduce must leave the tree for a bandwidth-optimal
 	// planner.

@@ -385,22 +385,27 @@ func TestHierPATTransfersMatchExecution(t *testing.T) {
 	}
 }
 
-// TestGroupedShapeKeepsFlatDecisions pins the auto-selection guard: a
-// flat shape never selects the topology-scoped planners, and grouped
-// and flat decisions are cached under different keys.
+// TestGroupedShapeKeepsFlatDecisions pins that the shape reaches the
+// price: every planner is a candidate on either shape, grouped and flat
+// decisions are cached under different keys, and on a strongly grouped
+// fabric the hierarchical allreduce wins a payload it loses on the flat
+// one.
 func TestGroupedShapeKeepsFlatDecisions(t *testing.T) {
-	flat := Shape{}
-	grouped := Shape{PerNode: 8}
-	for _, coll := range []Collective{CollAllReduce, CollAllGather, CollBroadcast} {
-		got := cheapestPlanner(coll, 64, 1<<17, 8, flat)
-		if got == AlgoHier || got == AlgoPAT {
-			t.Errorf("flat %s selected topology-scoped planner %s", coll, got)
-		}
+	flat, grouped := Shape{}, Shape{PerNode: 8}
+	const n, nelems = 64, 8 << 10
+	onFlat := ExplainAuto(CollAllReduce, n, nelems, 8, flat)
+	onGrouped := ExplainAuto(CollAllReduce, n, nelems, 8, grouped)
+	if len(onFlat.Candidates) != len(onGrouped.Candidates) {
+		t.Errorf("flat prices %d candidates, grouped %d", len(onFlat.Candidates), len(onGrouped.Candidates))
 	}
-	// On a strongly grouped fabric the hierarchical plan must at least
-	// be a candidate — and for big allreduce payloads it should win.
-	if got := cheapestPlanner(CollAllReduce, 64, 1<<17, 8, grouped); got != AlgoHier {
-		t.Errorf("grouped 64-PE 1MiB allreduce selected %s, want %s", got, AlgoHier)
+	if onGrouped.Winner != AlgoHier {
+		t.Errorf("grouped 64-PE 64 KiB allreduce selected %s, want %s", onGrouped.Winner, AlgoHier)
+	}
+	if onFlat.Winner == AlgoHier {
+		t.Errorf("flat 64-PE 64 KiB allreduce selected %s: the shape did not reach the price", onFlat.Winner)
+	}
+	if keyOf(CollAllReduce, n, nelems, 8, flat) == keyOf(CollAllReduce, n, nelems, 8, grouped) {
+		t.Error("flat and grouped decisions share a cache key")
 	}
 }
 

@@ -520,6 +520,15 @@ func (sh Shape) flat(n int) bool {
 	return sh.PerNode <= 1 || sh.PerNode >= n
 }
 
+// grouping is the shape's PEs per node on an n-PE machine, 0 when
+// flat: one value per distinguishable shape, for cache keys.
+func (sh Shape) grouping(n int) int {
+	if sh.flat(n) {
+		return 0
+	}
+	return sh.PerNode
+}
+
 // CompilePlanFor is CompilePlanSeg for a fabric shape: a planner that
 // registers a CompileShaped hook receives the grouping and its plans
 // are cached per (collective, algorithm, nPEs, PerNode). Every other

@@ -13,9 +13,9 @@ import (
 // state-of-the-art solutions include a variety of algorithms which are
 // dynamically chosen from at runtime based on the arguments of a
 // specific call. It follows then, that the xBGAS collective library
-// must follow a similar pattern." The selector is that hook: the
-// binomial tree is the general-purpose choice; the linear algorithm
-// wins only in the degenerate cases where tree depth buys nothing.
+// must follow a similar pattern." The selector is that hook: AlgoAuto
+// resolves to the registered planner whose plan is cheapest for the
+// call on the modelled machine (costmodel.go).
 //
 // The value is the planner's registry key (see RegisterPlanner); the
 // zero value "" is equivalent to AlgoAuto so that zero-initialised
@@ -146,21 +146,19 @@ func (a Algorithm) String() string {
 
 // Select resolves AlgoAuto for one collective over nPEs PEs moving
 // nelems elements of width bytes each. A fixed algorithm passes
-// through untouched. Auto is the calibrated cost model's argmin
-// (chooseAuto): with ≤ 2 PEs the tree and the flat algorithm coincide
-// so the cheaper-bookkeeping linear form is used; small payloads stay
-// on the binomial tree — tree-based algorithms "typically produce the
-// highest performance for smaller data transaction sizes" (§4.2) —
-// and large payloads land on the bandwidth-optimal ring/rabenseifner
-// planners past the tuned crossover.
+// through untouched. Auto is the argmin of the plans' dry-run prices
+// over every registered planner that implements the collective
+// (chooseAuto) — no PE-count or size rule: tree-shaped plans win the
+// small payloads (§4.2) and the bandwidth-optimal ones the large
+// because that is what their replays cost.
 func (a Algorithm) Select(coll Collective, nPEs, nelems, width int) Algorithm {
 	return a.SelectFor(coll, nPEs, nelems, width, Shape{})
 }
 
-// SelectFor is Select against a fabric shape: on a grouped topology the
-// shape admits the hierarchical candidates and prices every plan with
-// the per-link-class coefficients, so auto resolves differently intra-
-// vs inter-node. The flat shape reproduces Select exactly.
+// SelectFor is Select against a fabric shape: the shape-aware planners
+// compile against the grouping and every plan is priced on a fabric
+// with its link classes, so auto resolves differently on a grouped
+// topology. The flat shape reproduces Select exactly.
 func (a Algorithm) SelectFor(coll Collective, nPEs, nelems, width int, sh Shape) Algorithm {
 	if a != AlgoAuto && a != "" {
 		return a
@@ -252,9 +250,7 @@ func ScatterWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uin
 }
 
 // AllReduceWith dispatches a reduction-to-all through the selector and
-// the planner registry: auto resolves against the calibrated cost
-// model, so large payloads land on the bandwidth-optimal rabenseifner
-// or ring planner and small ones stay on the binomial tree.
+// the planner registry: auto resolves to the cheapest plan by dry run.
 func AllReduceWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride int) error {
 	selected, err := resolveAlgorithm(algo, CollAllReduce, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
 	if err != nil {

@@ -280,6 +280,12 @@ func (f *Fabric) Topology() Topology { return f.topo }
 // Config returns the fabric's cost model.
 func (f *Fabric) Config() Config { return f.cfg }
 
+// Window returns the width of the congestion windows, in cycles.
+// Bookings in different windows never interact, so a caller that
+// replays schedules on one fabric starts each at a fresh window
+// boundary instead of calling Reset.
+func (f *Fabric) Window() uint64 { return f.window }
+
 // TransitCost returns the uncontended cost of moving n bytes from src to
 // dst: injection + hops·α + n·β. On a Classed topology the hop and byte
 // coefficients come from the link class (intra-node traffic rides the

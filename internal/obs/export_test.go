@@ -23,10 +23,8 @@ type fullTraceFile struct {
 func TestTraceCountersAndMetadata(t *testing.T) {
 	rec := obs.NewRecorder(obs.Options{Trace: true})
 	rec.SetModelMeta(obs.ModelMeta{
-		TuningVersion:      7,
-		TuningFabric:       "test-fabric",
-		TuningCalibratedAt: "2026-01-01T00:00:00Z",
-		ChunkBytes:         256,
+		TuningVersion: 7,
+		ChunkBytes:    256,
 	})
 	rt := xbrtime.MustNew(xbrtime.Config{NumPEs: 4, TopoSpec: "grouped:2", Deterministic: true, Obs: rec})
 	defer rt.Close()
@@ -69,9 +67,6 @@ func TestTraceCountersAndMetadata(t *testing.T) {
 	}
 	if got := tf.OtherData["tuning_version"]; got != float64(7) {
 		t.Errorf("otherData tuning_version = %v, want 7", got)
-	}
-	if got := tf.OtherData["tuning_fabric"]; got != "test-fabric" {
-		t.Errorf("otherData tuning_fabric = %v", got)
 	}
 	if got := tf.OtherData["chunk_bytes"]; got != float64(256) {
 		t.Errorf("otherData chunk_bytes = %v, want 256", got)

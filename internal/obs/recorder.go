@@ -33,17 +33,15 @@ type Recorder struct {
 // ModelMeta describes the cost-model configuration in effect while the
 // recorder observed its runs. It is embedded in the exported trace
 // header so analyzers (tools/tracelens) can refuse a trace whose model
-// no longer matches the tuning table they load.
+// is not the one they price with.
 type ModelMeta struct {
-	TuningVersion      int    `json:"tuning_version"`
-	TuningFabric       string `json:"tuning_fabric,omitempty"`
-	TuningCalibratedAt string `json:"tuning_calibrated_at,omitempty"`
-	ChunkBytes         int    `json:"chunk_bytes"`
+	TuningVersion int `json:"tuning_version"`
+	ChunkBytes    int `json:"chunk_bytes"`
 }
 
 // SetModelMeta records the model configuration for the trace header.
 // Call it once, before the trace is written; the CLI sets it from the
-// loaded tuning table.
+// machine description selection prices on.
 func (r *Recorder) SetModelMeta(m ModelMeta) {
 	r.mu.Lock()
 	r.meta = m

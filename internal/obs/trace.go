@@ -149,11 +149,9 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		TraceEvents:     r.traceEventList(),
 		DisplayTimeUnit: "ns",
 		OtherData: map[string]any{
-			"tool":                 "xbgas-bench",
-			"tuning_version":       meta.TuningVersion,
-			"tuning_fabric":        meta.TuningFabric,
-			"tuning_calibrated_at": meta.TuningCalibratedAt,
-			"chunk_bytes":          meta.ChunkBytes,
+			"tool":           "xbgas-bench",
+			"tuning_version": meta.TuningVersion,
+			"chunk_bytes":    meta.ChunkBytes,
 		},
 	}
 	if f.TraceEvents == nil {

@@ -100,17 +100,12 @@ func (pe *PE) barrierOnImpl(b *barrierState) error {
 	}
 	coordinator := b.members[0]
 
-	fab := pe.rt.machine.Fabric
 	// Arrival notification to the coordinating PE. In lockstep mode
 	// the send happens in virtual-clock order like any other booking.
 	pe.lsYield()
-	arrive := pe.clock
-	if pe.rank != coordinator {
-		t, err := fab.Send(pe.rank, coordinator, 8, pe.clock)
-		if err != nil {
-			return err
-		}
-		arrive = t
+	arrive, err := pe.rt.timing.BarrierArrive(pe.rank, coordinator, pe.clock)
+	if err != nil {
+		return err
 	}
 
 	b.mu.Lock()
@@ -125,35 +120,22 @@ func (pe *PE) barrierOnImpl(b *barrierState) error {
 		b.maxBy = pe.rank
 	}
 	if b.count == n {
-		// The coordinator releases everyone; the fan-out staggers at
-		// its injection rate and each release message pays fabric
-		// transit.
-		inject := fab.Config().InjectionOverhead
-		release := b.maxArr
+		// The coordinator releases everyone. In lockstep mode the
+		// waiters are asleep inside cond.Wait; hand each back to the
+		// scheduler at its release clock now, so the token ordering never
+		// depends on how quickly the woken goroutine runs. The last
+		// arriver does the release, so the coordinating member itself
+		// may be one of the sleepers.
 		b.relBy = b.maxBy // critical-path attribution: who gated the epoch
-		b.rel[coordinator] = release
-		for i, m := range b.members {
-			if m == coordinator {
-				continue
-			}
-			t, err := fab.Send(coordinator, m, 8, release+uint64(i)*inject)
-			if err != nil {
-				b.mu.Unlock()
-				return err
-			}
-			b.rel[m] = t
-			// In lockstep mode the waiter is asleep inside cond.Wait;
-			// hand it back to the scheduler at its release clock now, so
-			// the token ordering never depends on how quickly the woken
-			// goroutine runs.
+		err := pe.rt.timing.BarrierRelease(b.members, b.maxArr, func(m int, at uint64) {
+			b.rel[m] = at
 			if m != pe.rank {
-				pe.lsWake(m, t)
+				pe.lsWake(m, at)
 			}
-		}
-		if coordinator != pe.rank {
-			// The last arriver does the release, so the coordinating
-			// member itself may be one of the sleepers.
-			pe.lsWake(coordinator, release)
+		})
+		if err != nil {
+			b.mu.Unlock()
+			return err
 		}
 		b.count = 0
 		b.maxArr = 0

@@ -16,7 +16,7 @@ import "xbgas/internal/mem"
 // line granularity and returns the total cycle cost including the
 // per-line issue cost.
 func (pe *PE) touchLines(addr, bytes uint64, write bool) uint64 {
-	first, nLines := chunkLines(addr, bytes)
+	first, nLines := ChunkLines(addr, bytes)
 	total := pe.node.Hier.TouchRange(first, mem.LineSize, mem.LineSize, nLines, write, nil)
 	return total + uint64(nLines)*loadCPU
 }

@@ -1,7 +1,6 @@
 package xbrtime
 
 import (
-	"xbgas/internal/fabric"
 	"xbgas/internal/mem"
 	"xbgas/internal/sim"
 )
@@ -24,14 +23,6 @@ import (
 // chunkHeaderBytes is the per-packet address/command header of the
 // bulk stream (one header per line instead of one per element).
 const chunkHeaderBytes = 8
-
-// chunkLines returns the first line-aligned address covering
-// [addr, addr+bytes) and the number of cache lines it spans.
-func chunkLines(addr, bytes uint64) (first uint64, n int) {
-	first = addr &^ uint64(mem.LineSize-1)
-	n = int((addr + bytes - first + mem.LineSize - 1) / mem.LineSize)
-	return first, n
-}
 
 // stagingBytes bounds the host block the bulk paths move payload
 // through, so a PE's host footprint does not grow with the largest
@@ -78,29 +69,15 @@ func (pe *PE) PutChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle
 	pe.traceComm("put", target, nelems)
 	pe.lsYield()
 
-	fab := pe.rt.machine.Fabric
 	targetNode := pe.rt.machine.Nodes[target]
 	pe.chargeOLB(target)
 
 	bytes := uint64(nelems) * uint64(dt.Width)
-	first, nLines := chunkLines(src, bytes)
+	first, nLines := ChunkLines(src, bytes)
 	costs := pe.costs(nLines)
 	pe.node.Hier.TouchRange(first, mem.LineSize, mem.LineSize, nLines, false, costs)
-	for i := range costs {
-		costs[i] += loadCPU
-	}
 
-	gap := issueGap(fab.Config())
-	endIssue, lastArrive, err := fab.SendStream(fabric.Stream{
-		Src:        pe.rank,
-		Dst:        target,
-		ElemBytes:  chunkHeaderBytes + mem.LineSize,
-		Start:      pe.clock,
-		PreCost:    costs,
-		Gap:        gap,
-		FlowWindow: uint64(pe.rt.cfg.InflightDepth) * gap,
-		Unrolled:   true,
-	})
+	endIssue, lastArrive, err := pe.rt.timing.PutLines(pe.rank, target, pe.clock, costs)
 	if err != nil {
 		return Handle{}, err
 	}
@@ -149,28 +126,15 @@ func (pe *PE) GetChunkNB(dt DType, dest, src uint64, nelems, target int) (Handle
 	pe.traceComm("get", target, nelems)
 	pe.lsYield()
 
-	fab := pe.rt.machine.Fabric
 	targetNode := pe.rt.machine.Nodes[target]
 	pe.chargeOLB(target)
 
 	bytes := uint64(nelems) * uint64(dt.Width)
-	first, nLines := chunkLines(dest, bytes)
+	first, nLines := ChunkLines(dest, bytes)
 	costs := pe.costs(nLines)
 	pe.node.Hier.TouchRange(first, mem.LineSize, mem.LineSize, nLines, true, costs)
 
-	gap := issueGap(fab.Config())
-	endIssue, lastDone, err := fab.FetchStream(fabric.Fetch{
-		Src:        pe.rank,
-		Dst:        target,
-		ReqBytes:   chunkHeaderBytes,
-		RespBytes:  chunkHeaderBytes + mem.LineSize,
-		Start:      pe.clock,
-		ReqCost:    loadCPU,
-		PostCost:   costs,
-		Gap:        gap,
-		FlowWindow: uint64(pe.rt.cfg.InflightDepth) * gap,
-		Unrolled:   true,
-	})
+	endIssue, lastDone, err := pe.rt.timing.GetLines(pe.rank, target, pe.clock, costs)
 	if err != nil {
 		return Handle{}, err
 	}

@@ -53,8 +53,8 @@ func TestChunkAccessorsMoveBytes(t *testing.T) {
 				h := pe.node.Hier
 				before := h.Accesses()
 				pe.CopyChunk(TypeULong, d, s, chunkElems)
-				_, ls := chunkLines(s, chunkElems*8)
-				_, ld := chunkLines(d, chunkElems*8)
+				_, ls := ChunkLines(s, chunkElems*8)
+				_, ld := ChunkLines(d, chunkElems*8)
 				if got := h.Accesses() - before; got != uint64(ls+ld) {
 					t.Errorf("CopyChunk made %d hierarchy accesses, want %d (one per line)", got, ls+ld)
 				}

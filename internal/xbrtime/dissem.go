@@ -1,6 +1,7 @@
 package xbrtime
 
 import (
+	"math/bits"
 	"sync"
 )
 
@@ -88,20 +89,14 @@ func (d *dissemState) sleeper(rank int) (dissemKey, bool) {
 func (pe *PE) dissemBarrier() error {
 	d := pe.rt.dissem
 	n := pe.rt.cfg.NumPEs
-	fab := pe.rt.machine.Fabric
-
-	rounds := 0
-	for (1 << rounds) < n {
-		rounds++
-	}
+	rounds := bits.Len(uint(n - 1)) // ⌈log₂ n⌉
 	epoch := pe.dissemEpoch
 	pe.dissemEpoch++
 
 	for k := 0; k < rounds; k++ {
-		dst := (pe.rank + (1 << k)) % n
 		// In lockstep mode each round's signal books in clock order.
 		pe.lsYield()
-		arrive, err := fab.Send(pe.rank, dst, 8, pe.clock)
+		dst, arrive, err := pe.rt.timing.DissemSignal(pe.rank, k, n, pe.clock)
 		if err != nil {
 			return err
 		}

@@ -119,20 +119,16 @@ func (pe *PE) SignalAfter(h Handle, addr uint64, target int) error {
 	if h.active && h.completeAt > notBefore {
 		notBefore = h.completeAt
 	}
-	if target == pe.rank {
-		pe.Advance(loadCPU)
-		fh.post(pe, flagKey{target, addr}, notBefore)
-		return nil
+	if target != pe.rank {
+		// In lockstep mode the flag store books in clock order like any
+		// other remote store.
+		pe.lsYield()
 	}
-	// In lockstep mode the flag store books in clock order like any
-	// other remote store.
-	pe.lsYield()
-	fab := pe.rt.machine.Fabric
-	arrive, err := fab.SendAfter(pe.rank, target, 8, pe.clock, notBefore)
+	next, arrive, err := pe.rt.timing.Signal(pe.rank, target, pe.clock, notBefore)
 	if err != nil {
 		return err
 	}
-	pe.Advance(issueGap(fab.Config()))
+	pe.clock = next
 	fh.post(pe, flagKey{target, addr}, arrive)
 	return nil
 }

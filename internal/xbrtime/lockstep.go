@@ -50,28 +50,94 @@ const (
 	lsDone
 )
 
-// readyPE is one entry of the ready queue. No two entries share a rank,
-// so (clock, rank) orders them strictly.
-type readyPE struct {
-	clock uint64
-	rank  int
+// ReadyPE is one entry of a ReadyQueue. No two entries share a rank,
+// so (Clock, Rank) orders them strictly.
+type ReadyPE struct {
+	Clock uint64
+	Rank  int
 }
 
-func (a readyPE) before(b readyPE) bool {
-	return a.clock < b.clock || a.clock == b.clock && a.rank < b.rank
+// Before reports whether a runs before b: smaller clock, ties to the
+// lower rank.
+func (a ReadyPE) Before(b ReadyPE) bool {
+	return a.Clock < b.Clock || a.Clock == b.Clock && a.Rank < b.Rank
+}
+
+// ReadyQueue is a binary min-heap of ready PEs ordered by (clock, rank):
+// the lockstep scheduler's run queue, and the event queue of core's dry
+// run, which replays a plan in the same order on one goroutine. A PE
+// leaves it only by being picked, so push and pop-min are the whole
+// interface. (A linear scan over the PE states was 20 % of the CPU
+// samples of the 1024-PE allreduce gate and 32 % of
+// BenchmarkLockstepYield/1024pe.)
+type ReadyQueue []ReadyPE
+
+// Push adds e.
+func (q *ReadyQueue) Push(e ReadyPE) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.Before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	*q = h
+}
+
+// Pop removes and returns the minimum. The queue must not be empty.
+func (q *ReadyQueue) Pop() ReadyPE {
+	h := *q
+	n := len(h)
+	min, last := h[0], h[n-1]
+	*q = h[:n-1]
+	if n > 1 {
+		(*q).replaceMin(last)
+	}
+	return min
+}
+
+// Swap is Push(e) followed by Pop in one pass: it returns e itself,
+// leaving the queue alone, when e runs before everything queued.
+func (q ReadyQueue) Swap(e ReadyPE) ReadyPE {
+	if len(q) == 0 || e.Before(q[0]) {
+		return e
+	}
+	min := q[0]
+	q.replaceMin(e)
+	return min
+}
+
+// replaceMin overwrites the heap's root with e and restores the order.
+func (q ReadyQueue) replaceMin(e ReadyPE) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].Before(q[c]) {
+			c++
+		}
+		if !q[c].Before(e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
 }
 
 // lockstep is the token scheduler. A runtime owns one and resets it at
 // the start of every Run.
 type lockstep struct {
-	mu    sync.Mutex
-	state []uint8
-	clock []uint64 // per PE: the clock it was queued or blocked at
-	// ready is a binary min-heap of the ready PEs. A PE leaves it only
-	// by being picked, so push and pop-min are the whole interface. (A
-	// linear scan over state was 20 % of the CPU samples of the 1024-PE
-	// allreduce gate and 32 % of BenchmarkLockstepYield/1024pe.)
-	ready   []readyPE
+	mu      sync.Mutex
+	state   []uint8
+	clock   []uint64 // per PE: the clock it was queued or blocked at
+	ready   ReadyQueue
 	blocked int // PEs in lsBlocked
 	holder  int // rank marked running, -1 while the token is free
 	// grant[r] carries the token to PE r. At most one grant per PE is
@@ -92,7 +158,7 @@ func newLockstep(n int) *lockstep {
 	ls := &lockstep{
 		state: make([]uint8, n),
 		clock: make([]uint64, n),
-		ready: make([]readyPE, 0, n),
+		ready: make(ReadyQueue, 0, n),
 		grant: make([]chan struct{}, n),
 	}
 	for r := range ls.grant {
@@ -120,53 +186,14 @@ func (ls *lockstep) reset(pes []*PE, onStall func()) {
 func (ls *lockstep) enqueue(rank int, clock uint64) {
 	ls.state[rank] = lsReady
 	ls.clock[rank] = clock
-	e := readyPE{clock, rank}
-	h := append(ls.ready, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-	ls.ready = h
-}
-
-// replaceMin overwrites the heap's root with e and restores the order.
-func (ls *lockstep) replaceMin(e readyPE) {
-	h := ls.ready
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(e) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = e
+	ls.ready.Push(ReadyPE{clock, rank})
 }
 
 // dispatch hands the free token to the ready PE with the smallest
 // (clock, rank), if any. Callers hold ls.mu and have given the token up.
 func (ls *lockstep) dispatch() {
-	if n := len(ls.ready); n > 0 {
-		next := ls.ready[0].rank
-		last := ls.ready[n-1]
-		ls.ready = ls.ready[:n-1]
-		if n > 1 {
-			ls.replaceMin(last)
-		}
-		ls.run(next)
+	if len(ls.ready) > 0 {
+		ls.run(ls.ready.Pop().Rank)
 		return
 	}
 	ls.holder = -1
@@ -197,18 +224,17 @@ func (ls *lockstep) start(rank int) { <-ls.grant[rank] }
 // token again. PEs call it immediately before booking shared resources
 // so bookings happen in virtual-clock order.
 func (ls *lockstep) yield(rank int, clock uint64) {
-	me := readyPE{clock, rank}
+	me := ReadyPE{clock, rank}
 	ls.mu.Lock()
-	if len(ls.ready) == 0 || me.before(ls.ready[0]) {
+	next := ls.ready.Swap(me)
+	if next == me {
 		// Still the minimum: keep the token, no goroutine switch.
 		ls.mu.Unlock()
 		return
 	}
-	next := ls.ready[0].rank
 	ls.state[rank] = lsReady
 	ls.clock[rank] = clock
-	ls.replaceMin(me)
-	ls.run(next)
+	ls.run(next.Rank)
 	ls.mu.Unlock()
 	<-ls.grant[rank]
 }

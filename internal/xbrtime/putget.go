@@ -1,9 +1,6 @@
 package xbrtime
 
-import (
-	"xbgas/internal/fabric"
-	"xbgas/internal/sim"
-)
+import "xbgas/internal/sim"
 
 // olbHitCost and olbMissCost charge the object-ID translation performed
 // once per transfer when the stub loads the target's object ID into an
@@ -124,12 +121,8 @@ func (pe *PE) putImpl(dt DType, dest, src uint64, nelems, stride int, target int
 	// order.
 	pe.lsYield()
 
-	fab := pe.rt.machine.Fabric
 	targetNode := pe.rt.machine.Nodes[target]
 	pe.chargeOLB(target)
-
-	unrolled := nonblocking || nelems >= pe.rt.cfg.UnrollThreshold
-	gap := issueGap(fab.Config())
 
 	// Price every source-element read on the local hierarchy (owned by
 	// this PE's goroutine, so no lock is needed), read the values in
@@ -139,22 +132,10 @@ func (pe *PE) putImpl(dt DType, dest, src uint64, nelems, stride int, target int
 	// loop (refPutGet in the tests) cycle for cycle.
 	costs := pe.costs(nelems)
 	pe.node.Hier.TouchRange(src, w, step, nelems, false, costs)
-	for i := range costs {
-		costs[i] += loadCPU
-	}
 	vals := pe.elems(nelems)
 	pe.node.LockedReadElems(src, w, step, nelems, vals)
 
-	endIssue, lastArrive, err := fab.SendStream(fabric.Stream{
-		Src:        pe.rank,
-		Dst:        target,
-		ElemBytes:  8 + w,
-		Start:      pe.clock,
-		PreCost:    costs,
-		Gap:        gap,
-		FlowWindow: uint64(pe.rt.cfg.InflightDepth) * gap,
-		Unrolled:   unrolled,
-	})
+	endIssue, lastArrive, err := pe.rt.timing.PutElems(pe.rank, target, pe.clock, w, costs, nonblocking)
 	if err != nil {
 		return Handle{}, err
 	}
@@ -212,12 +193,8 @@ func (pe *PE) getImpl(dt DType, dest, src uint64, nelems, stride int, target int
 
 	pe.lsYield()
 
-	fab := pe.rt.machine.Fabric
 	targetNode := pe.rt.machine.Nodes[target]
 	pe.chargeOLB(target)
-
-	unrolled := nonblocking || nelems >= pe.rt.cfg.UnrollThreshold
-	gap := issueGap(fab.Config())
 
 	// Price the destination-element writes up front (the hierarchy is
 	// owned by this PE and untouched by the fabric bookings, so the
@@ -227,18 +204,7 @@ func (pe *PE) getImpl(dt DType, dest, src uint64, nelems, stride int, target int
 	costs := pe.costs(nelems)
 	pe.node.Hier.TouchRange(dest, w, step, nelems, true, costs)
 
-	endIssue, lastDone, err := fab.FetchStream(fabric.Fetch{
-		Src:        pe.rank,
-		Dst:        target,
-		ReqBytes:   8,
-		RespBytes:  w,
-		Start:      pe.clock,
-		ReqCost:    loadCPU,
-		PostCost:   costs,
-		Gap:        gap,
-		FlowWindow: uint64(pe.rt.cfg.InflightDepth) * gap,
-		Unrolled:   unrolled,
-	})
+	endIssue, lastDone, err := pe.rt.timing.GetElems(pe.rank, target, pe.clock, w, costs, nonblocking)
 	if err != nil {
 		return Handle{}, err
 	}
@@ -262,16 +228,6 @@ func (pe *PE) chargeOLB(target int) {
 	default:
 		pe.Advance(olbMissCost)
 	}
-}
-
-// issueGap returns the pipelined per-element sender occupancy,
-// defaulting to the injection overhead when the fabric model does not
-// set a separate throughput gap.
-func issueGap(cfg fabric.Config) uint64 {
-	if cfg.IssueGap > 0 {
-		return cfg.IssueGap
-	}
-	return cfg.InjectionOverhead
 }
 
 // WaitAll completes every pending transfer in hs: the clock advances to

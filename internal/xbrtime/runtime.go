@@ -141,6 +141,7 @@ func (c *Config) fillDefaults() {
 type Runtime struct {
 	cfg     Config
 	machine *sim.Machine
+	timing  *Timing // clock arithmetic of the remote primitives on machine.Fabric
 	pes     []*PE
 	barrier *barrierState
 	dissem  *dissemState
@@ -179,6 +180,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:     cfg,
 		machine: m,
+		timing:  NewTiming(m.Fabric, cfg.InflightDepth, cfg.UnrollThreshold),
 		barrier: newBarrierState(cfg.NumPEs),
 		dissem:  newDissemState(cfg.NumPEs),
 		flags:   newFlagHub(cfg.NumPEs),
@@ -537,13 +539,13 @@ func (pe *PE) Malloc(n uint64) (uint64, error) {
 		return 0, err
 	}
 	// A handful of cycles for the allocator itself.
-	pe.Advance(20)
+	pe.Advance(MallocCycles)
 	return addr, nil
 }
 
 // Free releases a symmetric allocation: xbrtime_free().
 func (pe *PE) Free(addr uint64) error {
-	pe.Advance(10)
+	pe.Advance(FreeCycles)
 	return pe.shared.release(addr)
 }
 

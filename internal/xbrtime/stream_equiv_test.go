@@ -66,7 +66,7 @@ func refPut(pe *PE, dt DType, dest, src uint64, nelems, stride, target int, nonb
 	pe.chargeOLB(target)
 
 	unrolled := nonblocking || nelems >= pe.rt.cfg.UnrollThreshold
-	gap := issueGap(fab.Config())
+	gap := pe.rt.timing.gap
 	transit := fab.TransitCost(pe.rank, target, 8+w)
 	window := uint64(pe.rt.cfg.InflightDepth) * gap
 	issue := pe.clock
@@ -121,7 +121,7 @@ func refGet(pe *PE, dt DType, dest, src uint64, nelems, stride, target int, nonb
 	pe.chargeOLB(target)
 
 	unrolled := nonblocking || nelems >= pe.rt.cfg.UnrollThreshold
-	gap := issueGap(fab.Config())
+	gap := pe.rt.timing.gap
 	transit := fab.TransitCost(pe.rank, target, 8) + fab.TransitCost(target, pe.rank, w)
 	window := uint64(pe.rt.cfg.InflightDepth) * gap
 	issue := pe.clock

@@ -3,25 +3,24 @@
 //
 // Trace mode re-prices a Perfetto timeline:
 //
-//	tracelens -trace trace.json [-tuning docs/TUNING.json] [-force] [-json out.json]
+//	tracelens -trace trace.json [-force] [-json out.json]
 //
 // Every collective span that carries a "plan" arg (the compiled plan
 // identity xbgas-bench exports) is grouped per {run, plan, payload},
 // the plan is recompiled for the run's recorded geometry, and the
-// measured virtual cost is compared against PlanCostShape. The trace
-// header's model identity (tuning version/fabric/calibration stamp,
-// chunk override) must match the tuning table tracelens prices with;
-// a mismatch is refused loudly unless -force, because comparing a
-// trace against coefficients it was not recorded under produces
-// numbers that look like model error but are just skew.
+// measured virtual cost is compared against PlanCostShape, the plan's
+// dry run. The trace header's model identity (machine-description
+// version, chunk override) must match what tracelens prices with; a
+// mismatch is refused loudly unless -force, because comparing a trace
+// against a machine it was not recorded on produces numbers that look
+// like model error but are just skew.
 //
 // Audit mode gates on an xbgas-bench -audit-json report:
 //
 //	tracelens -audit audit.json [-warn 0.25] [-strict]
 //
-// Cells whose scale-normalised error exceeds the -warn threshold are
-// listed; the exit status stays 0 (a warn step, not a gate) unless
-// -strict is given.
+// Cells whose relative error exceeds the -warn threshold are listed;
+// -strict makes any such cell a non-zero exit (the CI gate).
 package main
 
 import (
@@ -37,7 +36,6 @@ import (
 
 	"xbgas/internal/bench"
 	"xbgas/internal/core"
-	"xbgas/internal/fabric"
 )
 
 func main() {
@@ -49,11 +47,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		tracePath = fs.String("trace", "", "Perfetto trace JSON to re-price against the cost model")
-		tuning    = fs.String("tuning", "", "tuning table to price with (default "+core.DefaultTuningPath+" when present, else built-in)")
-		force     = fs.Bool("force", false, "analyze even when the trace's model identity mismatches the tuning table")
+		force     = fs.Bool("force", false, "analyze even when the trace's model identity mismatches the machine priced on")
 		jsonOut   = fs.String("json", "", "write the trace analysis as JSON to `file`")
 		auditPath = fs.String("audit", "", "xbgas-bench -audit-json report to threshold-check")
-		warn      = fs.Float64("warn", 0.25, "audit mode: flag cells whose |scaled err| exceeds this fraction")
+		warn      = fs.Float64("warn", 0.25, "audit mode: flag cells whose |err| exceeds this fraction")
 		strict    = fs.Bool("strict", false, "audit mode: exit nonzero when any cell exceeds -warn")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -63,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *auditPath != "":
 		return runAuditGate(*auditPath, *warn, *strict, stdout, stderr)
 	case *tracePath != "":
-		return runTraceLens(*tracePath, *tuning, *force, *jsonOut, stdout, stderr)
+		return runTraceLens(*tracePath, *force, *jsonOut, stdout, stderr)
 	}
 	fs.Usage()
 	return 2
@@ -84,23 +81,23 @@ func runAuditGate(path string, warn float64, strict bool, stdout, stderr io.Writ
 	}
 	var bad []bench.AuditCell
 	for _, c := range rep.Cells {
-		if math.Abs(c.ScaledErr) > warn {
+		if math.Abs(c.RelErr) > warn {
 			bad = append(bad, c)
 		}
 	}
 	sort.Slice(bad, func(i, j int) bool {
-		return math.Abs(bad[i].ScaledErr) > math.Abs(bad[j].ScaledErr)
+		return math.Abs(bad[i].RelErr) > math.Abs(bad[j].RelErr)
 	})
-	fmt.Fprintf(stdout, "audit %s: %d PEs, %d cells, worst |scaled err| %.1f%%\n",
-		path, rep.PEs, len(rep.Cells), 100*rep.MaxScaledErr())
+	fmt.Fprintf(stdout, "audit %s: %d PEs, %d cells, worst |err| %.1f%%\n",
+		path, rep.PEs, len(rep.Cells), 100*rep.MaxErr())
 	if len(bad) == 0 {
 		fmt.Fprintf(stdout, "no cell exceeds the %.0f%% threshold\n", 100*warn)
 		return 0
 	}
 	fmt.Fprintf(stdout, "%d cells exceed the %.0f%% threshold:\n", len(bad), 100*warn)
 	for _, c := range bad {
-		fmt.Fprintf(stdout, "  %s/%s on %s, %d B: scaled err %+.1f%% (raw %+.1f%%)\n",
-			c.Collective, c.Algo, c.Topo, c.Bytes, 100*c.ScaledErr, 100*c.RelErr)
+		fmt.Fprintf(stdout, "  %s/%s on %s, %d B: err %+.1f%% (predicted %.0f, measured %.0f cycles)\n",
+			c.Collective, c.Algo, c.Topo, c.Bytes, 100*c.RelErr, c.Predicted, c.MeasuredCycles)
 	}
 	if strict {
 		return 1
@@ -140,7 +137,7 @@ type planCell struct {
 	// MeasuredCycles is the per-invocation makespan estimate: the
 	// per-rank mean span duration, maximised over ranks.
 	MeasuredCycles float64 `json:"measured_cycles"`
-	PredictedNs    float64 `json:"predicted_ns"`
+	Predicted      float64 `json:"predicted_cycles"`
 	RelErr         float64 `json:"rel_err"`
 
 	perRank map[int]*rankAgg
@@ -154,11 +151,10 @@ type rankAgg struct {
 type lensOut struct {
 	Trace         string     `json:"trace"`
 	TuningVersion int        `json:"tuning_version"`
-	TuningFabric  string     `json:"tuning_fabric"`
 	Cells         []planCell `json:"cells"`
 }
 
-func runTraceLens(path, tuningPath string, force bool, jsonOut string, stdout, stderr io.Writer) int {
+func runTraceLens(path string, force bool, jsonOut string, stdout, stderr io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "tracelens: %v\n", err)
@@ -171,20 +167,11 @@ func runTraceLens(path, tuningPath string, force bool, jsonOut string, stdout, s
 	}
 
 	tn := core.CurrentTuning()
-	if tuningPath != "" {
-		if tn, err = core.LoadTuning(tuningPath); err != nil {
-			fmt.Fprintf(stderr, "tracelens: %v\n", err)
-			return 1
-		}
-	} else if t, err := core.LoadTuning(""); err == nil {
-		tn = t
-	}
-
 	if msg := modelMismatch(tf.OtherData, tn); msg != "" {
 		if !force {
 			fmt.Fprintf(stderr, "tracelens: REFUSING to analyze %s: %s\n"+
 				"tracelens: the trace was recorded under a different cost model; "+
-				"re-record it, point -tuning at the matching table, or pass -force to override\n",
+				"re-record it or pass -force to override\n",
 				path, msg)
 			return 1
 		}
@@ -238,7 +225,7 @@ func runTraceLens(path, tuningPath string, force bool, jsonOut string, stdout, s
 		return 1
 	}
 
-	out := lensOut{Trace: path, TuningVersion: tn.Version, TuningFabric: tn.Fabric}
+	out := lensOut{Trace: path, TuningVersion: tn.Version}
 	for _, key := range order {
 		c := cells[key]
 		for _, agg := range c.perRank {
@@ -250,25 +237,24 @@ func runTraceLens(path, tuningPath string, force bool, jsonOut string, stdout, s
 				c.MeasuredCycles = m
 			}
 		}
-		c.PredictedNs = priceLabel(c.Plan, c.PEs, c.Nelems, c.Topo, tn)
-		if c.MeasuredCycles > 0 && c.PredictedNs > 0 {
-			c.RelErr = c.PredictedNs/c.MeasuredCycles - 1
+		c.Predicted = priceLabel(c.Plan, c.PEs, c.Nelems, c.Topo, tn)
+		if c.MeasuredCycles > 0 && c.Predicted > 0 {
+			c.RelErr = c.Predicted/c.MeasuredCycles - 1
 		}
 		c.perRank = nil
 		out.Cells = append(out.Cells, *c)
 	}
 
-	fmt.Fprintf(stdout, "trace %s: %d plan cells (tuning v%d %q)\n",
-		path, len(out.Cells), tn.Version, tn.Fabric)
+	fmt.Fprintf(stdout, "trace %s: %d plan cells (machine description v%d)\n", path, len(out.Cells), tn.Version)
 	fmt.Fprintf(stdout, "%-36s %-16s %6s %8s %6s %14s %14s %9s\n",
-		"plan", "topo", "pes", "nelems", "spans", "measured(cyc)", "predicted(ns)", "err")
+		"plan", "topo", "pes", "nelems", "spans", "measured(cyc)", "predicted(cyc)", "err")
 	for _, c := range out.Cells {
 		errCell := "-"
-		if c.PredictedNs > 0 && c.MeasuredCycles > 0 {
+		if c.Predicted > 0 && c.MeasuredCycles > 0 {
 			errCell = fmt.Sprintf("%+.1f%%", 100*c.RelErr)
 		}
 		fmt.Fprintf(stdout, "%-36s %-16s %6d %8d %6d %14.0f %14.0f %9s\n",
-			c.Plan, c.Topo, c.PEs, c.Nelems, c.Spans, c.MeasuredCycles, c.PredictedNs, errCell)
+			c.Plan, c.Topo, c.PEs, c.Nelems, c.Spans, c.MeasuredCycles, c.Predicted, errCell)
 	}
 
 	if jsonOut != "" {
@@ -293,19 +279,13 @@ func runTraceLens(path, tuningPath string, force bool, jsonOut string, stdout, s
 }
 
 // modelMismatch compares the trace header's model identity against the
-// tuning table tracelens will price with; "" means compatible.
+// machine description tracelens will price with; "" means compatible.
 func modelMismatch(other map[string]any, tn core.Tuning) string {
 	if other == nil {
 		return "trace has no otherData model identity (recorded by an older exporter?)"
 	}
 	if v := asInt(other["tuning_version"]); v != tn.Version {
-		return fmt.Sprintf("trace tuning_version %d != table version %d", v, tn.Version)
-	}
-	if f := asString(other["tuning_fabric"]); f != "" && tn.Fabric != "" && f != tn.Fabric {
-		return fmt.Sprintf("trace tuning_fabric %q != table fabric %q", f, tn.Fabric)
-	}
-	if at := asString(other["tuning_calibrated_at"]); at != "" && tn.CalibratedAt != "" && at != tn.CalibratedAt {
-		return fmt.Sprintf("trace calibrated_at %q != table calibrated_at %q", at, tn.CalibratedAt)
+		return fmt.Sprintf("trace tuning_version %d != machine description version %d", v, tn.Version)
 	}
 	if cb := asInt(other["chunk_bytes"]); cb != core.ChunkBytes() {
 		return fmt.Sprintf("trace chunk_bytes %d != current chunk override %d", cb, core.ChunkBytes())
@@ -344,30 +324,15 @@ func priceLabel(label string, pes, nelems int, topo string, tn core.Tuning) floa
 	if !found {
 		return 0
 	}
-	p, err := core.CompilePlanFor(coll, core.Algorithm(algoName), pes, seg, shapeFor(topo, pes))
-	if err != nil || p == nil {
+	// The recorder stores the -topo spec when one was given; programmatic
+	// topologies store a display name that may not parse and price as flat.
+	sh := bench.TopoShape(topo, pes)
+	p, err := core.CompilePlanFor(coll, core.Algorithm(algoName), pes, seg, sh)
+	if err != nil {
 		return 0
 	}
 	const width = 8 // every audited collective moves 8-byte elements
-	return core.PlanCostShape(p, tn, shapeFor(topo, pes), nelems, width)
-}
-
-// shapeFor resolves the recorded topology name to a planner shape. The
-// recorder stores the -topo spec when one was given (which ParseTopo
-// round-trips); programmatic topologies store their display name,
-// which may not parse — those price as flat.
-func shapeFor(topo string, pes int) core.Shape {
-	if topo == "" || topo == "flat" {
-		return core.Shape{}
-	}
-	t, err := fabric.ParseTopo(topo, pes)
-	if err != nil {
-		return core.Shape{}
-	}
-	if g, ok := t.(fabric.NodeGrouper); ok {
-		return core.Shape{PerNode: g.PEsPerNode()}
-	}
-	return core.Shape{}
+	return core.PlanCostShape(p, tn, sh, nelems, width)
 }
 
 func asInt(v any) int {

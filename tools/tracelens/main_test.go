@@ -50,10 +50,8 @@ func recordTrace(t *testing.T, meta obs.ModelMeta) string {
 func matchingMeta() obs.ModelMeta {
 	tn := core.CurrentTuning()
 	return obs.ModelMeta{
-		TuningVersion:      tn.Version,
-		TuningFabric:       tn.Fabric,
-		TuningCalibratedAt: tn.CalibratedAt,
-		ChunkBytes:         core.ChunkBytes(),
+		TuningVersion: tn.Version,
+		ChunkBytes:    core.ChunkBytes(),
 	}
 }
 
@@ -68,7 +66,7 @@ func TestTraceModeAnalyzesPlans(t *testing.T) {
 	if !strings.Contains(got, "broadcast/binomial") {
 		t.Errorf("output missing the plan cell:\n%s", got)
 	}
-	if !strings.Contains(got, "measured(cyc)") || !strings.Contains(got, "predicted(ns)") {
+	if !strings.Contains(got, "measured(cyc)") || !strings.Contains(got, "predicted(cyc)") {
 		t.Errorf("output missing table header:\n%s", got)
 	}
 }
@@ -84,7 +82,7 @@ func TestTraceModeJSONOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"broadcast/binomial", "measured_cycles", "predicted_ns"} {
+	for _, want := range []string{"broadcast/binomial", "measured_cycles", "predicted_cycles"} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("JSON output missing %q", want)
 		}
@@ -116,14 +114,14 @@ func TestTraceModeRefusesModelMismatch(t *testing.T) {
 // auditFixture is a hand-built audit report with one cell inside and
 // one outside a 25% threshold.
 const auditFixture = `{
-  "pes": 8, "lockstep": true, "tuning_version": 2, "tuning_fabric": "default",
+  "pes": 8, "lockstep": true, "tuning_version": 3,
   "cells": [
     {"collective": "broadcast", "algo": "binomial", "topo": "flat", "pes": 8,
-     "nelems": 64, "bytes": 512, "predicted_ns": 100, "measured_cycles": 100,
-     "rel_err": 0.0, "scaled_err": 0.05},
+     "nelems": 64, "bytes": 512, "predicted_cycles": 105, "measured_cycles": 100,
+     "rel_err": 0.05},
     {"collective": "allreduce", "algo": "ring", "topo": "flat", "pes": 8,
-     "nelems": 1024, "bytes": 8192, "predicted_ns": 300, "measured_cycles": 200,
-     "rel_err": 0.5, "scaled_err": 0.40}
+     "nelems": 1024, "bytes": 8192, "predicted_cycles": 280, "measured_cycles": 200,
+     "rel_err": 0.40}
   ],
   "series": []
 }`
