@@ -170,19 +170,6 @@ func (h *Hierarchy) TouchRange(addr uint64, size int, step uint64, n int, write 
 // prefetcher.
 func (h *Hierarchy) Prefetches() uint64 { return h.prefetches }
 
-// Read performs a timed read of size bytes at addr.
-func (h *Hierarchy) Read(addr uint64, size int) (value uint64, cost uint64) {
-	cost = h.Touch(addr, size, false)
-	return h.ram.ReadUint(addr, size), cost
-}
-
-// Write performs a timed write of size bytes at addr.
-func (h *Hierarchy) Write(addr uint64, size int, v uint64) (cost uint64) {
-	cost = h.Touch(addr, size, true)
-	h.ram.WriteUint(addr, size, v)
-	return cost
-}
-
 // Accesses returns the number of timed accesses issued.
 func (h *Hierarchy) Accesses() uint64 { return h.accesses }
 

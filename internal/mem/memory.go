@@ -9,11 +9,21 @@ import (
 // translations.
 const PageSize = 4096
 
+// recentPages is the size of Memory's direct-mapped recent-page table.
+const recentPages = 64
+
 // Memory is a sparse byte-addressable physical memory. The zero value is
-// an empty memory ready for use. Memory performs no synchronisation; the
-// owner (a simulated node) serialises access.
+// an empty memory ready for use. Memory performs no synchronisation, and
+// reads too rewrite its recent-page table, so the owner (a simulated
+// node, under its memory lock) serialises every access.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
+	// recent holds resident pages in front of the map: page pn, once
+	// looked up, sits at recent[pn%recentPages] tagged pn+1.
+	recent [recentPages]struct {
+		tag uint64
+		p   *[PageSize]byte
+	}
 }
 
 // NewMemory returns an empty memory.
@@ -22,19 +32,23 @@ func NewMemory() *Memory {
 }
 
 func (m *Memory) page(addr uint64, create bool) *[PageSize]byte {
-	if m.pages == nil {
-		if !create {
-			return nil
-		}
-		m.pages = make(map[uint64]*[PageSize]byte)
-	}
 	pn := addr / PageSize
-	p := m.pages[pn]
-	if p == nil && create {
-		p = new([PageSize]byte)
-		m.pages[pn] = p
+	r := &m.recent[pn%recentPages]
+	if r.tag != pn+1 {
+		p := m.pages[pn]
+		if p == nil {
+			if !create {
+				return nil // an unwritten page stays out of the table and the map
+			}
+			if m.pages == nil {
+				m.pages = make(map[uint64]*[PageSize]byte)
+			}
+			p = new([PageSize]byte)
+			m.pages[pn] = p
+		}
+		r.tag, r.p = pn+1, p
 	}
-	return p
+	return r.p
 }
 
 // ReadBytes copies len(dst) bytes starting at addr into dst. Unwritten
@@ -71,40 +85,41 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) {
 	}
 }
 
+// validSize reports whether size is 1, 2, 4, or 8.
+func validSize(size int) bool { return size > 0 && size <= 8 && size&(size-1) == 0 }
+
+func badSize(size int) { panic(fmt.Sprintf("mem: bad access size %d", size)) }
+
 // ReadUint reads a size-byte little-endian unsigned integer at addr.
 // size must be 1, 2, 4, or 8.
 func (m *Memory) ReadUint(addr uint64, size int) uint64 {
+	if !validSize(size) {
+		badSize(size)
+	}
+	if off := addr % PageSize; off <= PageSize-8 { // decode in place
+		if p := m.page(addr, false); p != nil {
+			return binary.LittleEndian.Uint64(p[off:]) & (1<<(8*size) - 1)
+		}
+		return 0
+	}
 	var buf [8]byte
 	m.ReadBytes(addr, buf[:size])
-	switch size {
-	case 1:
-		return uint64(buf[0])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(buf[:2]))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(buf[:4]))
-	case 8:
-		return binary.LittleEndian.Uint64(buf[:8])
-	}
-	panic(fmt.Sprintf("mem: bad access size %d", size))
+	return binary.LittleEndian.Uint64(buf[:])
 }
 
 // WriteUint writes a size-byte little-endian unsigned integer at addr.
 // size must be 1, 2, 4, or 8.
 func (m *Memory) WriteUint(addr uint64, size int, v uint64) {
-	var buf [8]byte
-	switch size {
-	case 1:
-		buf[0] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(buf[:2], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(buf[:8], v)
-	default:
-		panic(fmt.Sprintf("mem: bad access size %d", size))
+	if !validSize(size) {
+		badSize(size)
 	}
+	if off := addr % PageSize; off <= PageSize-8 { // encode in place
+		p, mask := m.page(addr, true), uint64(1)<<(8*size)-1
+		binary.LittleEndian.PutUint64(p[off:], binary.LittleEndian.Uint64(p[off:])&^mask|v&mask)
+		return
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
 	m.WriteBytes(addr, buf[:size])
 }
 
@@ -180,7 +195,7 @@ func (m *Memory) ReadElems(addr uint64, size int, step uint64, n int, dst []uint
 				off += step
 			}
 		default:
-			panic(fmt.Sprintf("mem: bad access size %d", size))
+			badSize(size)
 		}
 	}
 }
@@ -223,7 +238,7 @@ func (m *Memory) WriteElems(addr uint64, size int, step uint64, n int, src []uin
 				off += step
 			}
 		default:
-			panic(fmt.Sprintf("mem: bad access size %d", size))
+			badSize(size)
 		}
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"xbgas/internal/lru"
 )
 
 // LocalID is the reserved object ID naming the local processing element.
@@ -35,16 +37,16 @@ type Entry struct {
 }
 
 // OLB is one processing element's Object Look-aside Buffer. It is safe
-// for concurrent use.
+// for concurrent use. The translation cache is an lru.Set whose slots
+// carry their translations: a hit reads neither the table nor any map.
 type OLB struct {
-	mu      sync.Mutex
-	table   map[uint64]Entry  // backing table: every registered ID
-	cache   map[uint64]uint64 // ID -> last-use tick
-	entries int
-	tick    uint64
-	hits    uint64
-	misses  uint64
-	faults  uint64
+	mu     sync.Mutex
+	table  map[uint64]Entry // backing table: every registered ID
+	cache  lru.Set          // resident IDs
+	cached []Entry          // cache slot -> its ID's translation
+	hits   uint64
+	misses uint64
+	faults uint64
 }
 
 // DefaultEntries is the default translation-cache capacity. The value
@@ -57,9 +59,9 @@ func New(entries int) *OLB {
 		entries = 1
 	}
 	return &OLB{
-		table:   make(map[uint64]Entry),
-		cache:   make(map[uint64]uint64, entries),
-		entries: entries,
+		table:  make(map[uint64]Entry),
+		cache:  lru.New(entries),
+		cached: make([]Entry, entries),
 	}
 }
 
@@ -75,6 +77,9 @@ func (o *OLB) Register(id uint64, e Entry) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.table[id] = e
+	if slot, ok := o.cache.Peek(id); ok {
+		o.cached[slot] = e
+	}
 	return nil
 }
 
@@ -87,30 +92,17 @@ func (o *OLB) Translate(id uint64) (e Entry, hit bool, err error) {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if slot, hit := o.cache.Lookup(id); hit {
+		o.hits++
+		return o.cached[slot], true, nil
+	}
 	e, ok := o.table[id]
 	if !ok {
 		o.faults++
 		return Entry{}, false, fmt.Errorf("olb: unmapped object ID %d", id)
 	}
-	o.tick++
-	if _, resident := o.cache[id]; resident {
-		o.cache[id] = o.tick
-		o.hits++
-		return e, true, nil
-	}
 	o.misses++
-	if len(o.cache) >= o.entries {
-		var victim uint64
-		oldest := ^uint64(0)
-		for k, used := range o.cache {
-			if used < oldest {
-				oldest = used
-				victim = k
-			}
-		}
-		delete(o.cache, victim)
-	}
-	o.cache[id] = o.tick
+	o.cached[o.cache.Insert(id)] = e
 	return e, false, nil
 }
 

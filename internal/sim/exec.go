@@ -234,15 +234,11 @@ func (c *Core) Step() error {
 
 	// --- xBGAS extended-register spill/fill (local memory only).
 	case isa.ELE: // e[ext1] = mem64[rs1+imm]
-		addr := rs1 + uint64(inst.Imm)
-		memCost := node.Hier.Touch(addr, 8, false)
-		c.E[inst.ExtRd()] = node.LockedRead(addr, 8)
+		v, memCost := node.Load(rs1+uint64(inst.Imm), 8)
+		c.E[inst.ExtRd()] = v
 		cost += memCost
 	case isa.ESE: // mem64[rs1+imm] = e[ext1]
-		addr := rs1 + uint64(inst.Imm)
-		memCost := node.Hier.Touch(addr, 8, true)
-		node.LockedWrite(addr, 8, c.E[inst.ExtRs2()])
-		cost += memCost
+		cost += node.Store(rs1+uint64(inst.Imm), 8, c.E[inst.ExtRs2()])
 
 	// --- xBGAS address management.
 	case isa.EADDI: // x[rd] = e[ext1] + imm
@@ -268,20 +264,13 @@ func (c *Core) Step() error {
 
 // localLoad performs a timed load from the core's own node.
 func (c *Core) localLoad(addr uint64, op isa.Op) (uint64, uint64) {
-	width := op.MemWidth()
-	node := c.Node()
-	cost := node.Hier.Touch(addr, width, false)
-	raw := node.LockedRead(addr, width)
+	raw, cost := c.Node().Load(addr, op.MemWidth())
 	return extendLoad(raw, op), cost
 }
 
 // localStore performs a timed store to the core's own node.
 func (c *Core) localStore(addr uint64, op isa.Op, v uint64) uint64 {
-	width := op.MemWidth()
-	node := c.Node()
-	cost := node.Hier.Touch(addr, width, true)
-	node.LockedWrite(addr, width, v)
-	return cost
+	return c.Node().Store(addr, op.MemWidth(), v)
 }
 
 // extendedLoad implements the xBGAS load semantics of paper §3.2: an

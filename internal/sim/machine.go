@@ -29,6 +29,7 @@ type Node struct {
 	// mu guards functional RAM contents against concurrent remote
 	// accesses issued by other nodes' cores.
 	mu sync.Mutex
+	_  [64]byte // keeps the next node's mu, taken by another PE, off our host line
 }
 
 // LockedRead reads size bytes at addr under the node's memory lock.
@@ -43,6 +44,20 @@ func (n *Node) LockedWrite(addr uint64, size int, v uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.Hier.RAM().WriteUint(addr, size, v)
+}
+
+// Load is one timed local read by the node's own core: the hierarchy
+// cost of the access and the raw size bytes at addr, read under the lock.
+func (n *Node) Load(addr uint64, size int) (raw, cost uint64) {
+	cost = n.Hier.Touch(addr, size, false)
+	return n.LockedRead(addr, size), cost
+}
+
+// Store is Load's write counterpart; it returns the cycle cost.
+func (n *Node) Store(addr uint64, size int, v uint64) (cost uint64) {
+	cost = n.Hier.Touch(addr, size, true)
+	n.LockedWrite(addr, size, v)
+	return cost
 }
 
 // LockedReadElems reads n size-byte elements at addr, addr+step, ...

@@ -8,6 +8,7 @@ import (
 
 	"xbgas/internal/asm"
 	"xbgas/internal/isa"
+	"xbgas/internal/mem"
 )
 
 func loadAndRun(t *testing.T, m *Machine, node int, src string) *Core {
@@ -476,5 +477,26 @@ func TestExtendedRegisterSpillFill(t *testing.T) {
 	}
 	if got := m.Nodes[0].LockedRead(0x2000, 8); got != 2 {
 		t.Errorf("spilled object ID = %d, want 2", got)
+	}
+}
+
+// TestNodeLoadStore: a timed store then load round-trips through the
+// node's RAM and each charges exactly what Touch charges the same
+// access on an identical hierarchy.
+func TestNodeLoadStore(t *testing.T) {
+	n := MustMachine(DefaultConfig(1)).Nodes[0]
+	shadow := mem.MustHierarchy(n.Hier.Config())
+	if got, want := n.Store(0x2000, 8, 0xCAFEBABE12345678), shadow.Touch(0x2000, 8, true); got != want {
+		t.Errorf("store cost = %d, Touch %d", got, want)
+	}
+	v, cost := n.Load(0x2000, 8)
+	if v != 0xCAFEBABE12345678 {
+		t.Errorf("load = %#x", v)
+	}
+	if want := shadow.Touch(0x2000, 8, false); cost != want {
+		t.Errorf("load cost = %d, Touch %d", cost, want)
+	}
+	if n.Hier.RAM().Uint64(0x2000) != 0xCAFEBABE12345678 {
+		t.Error("backing RAM must hold the data")
 	}
 }

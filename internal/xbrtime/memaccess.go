@@ -9,17 +9,15 @@ const loadCPU = 1
 // ReadElem performs a timed local read of one element, returning its
 // canonical value (sign-/zero-extended integer or raw IEEE bits).
 func (pe *PE) ReadElem(dt DType, addr uint64) uint64 {
-	cost := pe.node.Hier.Touch(addr, dt.Width, false)
-	raw := pe.node.LockedRead(addr, dt.Width)
+	raw, cost := pe.node.Load(addr, dt.Width)
 	pe.Advance(cost + loadCPU)
 	return dt.Canon(raw)
 }
 
-// WriteElem performs a timed local write of one element.
+// WriteElem performs a timed local write of one element. The store
+// keeps only the low dt.Width bytes of canon, so it needs no mask.
 func (pe *PE) WriteElem(dt DType, addr uint64, canon uint64) {
-	cost := pe.node.Hier.Touch(addr, dt.Width, true)
-	pe.node.LockedWrite(addr, dt.Width, canon&dt.mask())
-	pe.Advance(cost + loadCPU)
+	pe.Advance(pe.node.Store(addr, dt.Width, canon) + loadCPU)
 }
 
 // Peek reads one element functionally (no cycle charge, no cache
