@@ -216,20 +216,21 @@ func (m *Memory) WriteElems(addr uint64, size int, step uint64, n int, src []uin
 		i += k
 		p := m.page(a, true)
 		off := a % PageSize
+		// Closed slices p[off:off+size]: with p[off:] the 8-byte loop spills.
 		switch size {
 		case 8:
 			for _, v := range run {
-				binary.LittleEndian.PutUint64(p[off:], v)
+				binary.LittleEndian.PutUint64(p[off:off+8], v)
 				off += step
 			}
 		case 4:
 			for _, v := range run {
-				binary.LittleEndian.PutUint32(p[off:], uint32(v))
+				binary.LittleEndian.PutUint32(p[off:off+4], uint32(v))
 				off += step
 			}
 		case 2:
 			for _, v := range run {
-				binary.LittleEndian.PutUint16(p[off:], uint16(v))
+				binary.LittleEndian.PutUint16(p[off:off+2], uint16(v))
 				off += step
 			}
 		case 1:
