@@ -1,4 +1,4 @@
-package lru
+package mem
 
 import (
 	"math/rand"
@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-// TestSetMatchesReference replays random Lookup/Insert traces through a
-// Set and a recency-ordered slice and demands the same hits, the same
+// TestLRUMatchesReference replays random Lookup/Insert traces through an
+// LRU and a recency-ordered slice and demands the same hits, the same
 // victim on every eviction, and that a hit returns the slot its key was
 // inserted into. Keys are drawn from ones that share two home positions
 // (long probe runs, backward shifts on every eviction), plus 0 and ^0,
 // the ends of the key space the mru marker has to tell apart from
 // "none", with Resets mid-trace.
-func TestSetMatchesReference(t *testing.T) {
+func TestLRUMatchesReference(t *testing.T) {
 	for _, entries := range []int{0, 1, 2, 7, 64} {
 		rng := rand.New(rand.NewSource(int64(entries)))
-		s := New(entries)
+		s := NewLRU(entries)
 		keys := []uint64{0, ^uint64(0), ^uint64(0) - 1}
 		for k := uint64(1); len(keys) < 2*s.Cap()+4; k++ {
 			if s.Home(k) <= 1 {

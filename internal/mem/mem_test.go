@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"xbgas/internal/lru"
 )
 
 func TestMemoryReadWriteRoundTrip(t *testing.T) {
@@ -199,7 +197,7 @@ func TestTLBMatchesReference(t *testing.T) {
 // open-addressed index: every lookup walks one long probe run and every
 // eviction backward-shifts it.
 func collidingPages(entries int, rng *rand.Rand) func(int) uint64 {
-	set := lru.New(entries)
+	set := NewLRU(entries)
 	var pages []uint64
 	for pn := uint64(0); len(pages) < set.Cap()*3/2+2; pn++ {
 		if set.Home(pn) <= 1 {

@@ -1,18 +1,16 @@
 package mem
 
-import "xbgas/internal/lru"
-
 // TLB is a fully-associative translation look-aside buffer with exact
 // LRU replacement, matching the paper's 256-entry per-core
 // configuration. The simulation uses identity translation (physical ==
 // virtual within a node), so the TLB exists purely for its timing
 // behaviour: a miss adds a page-walk penalty to the access cost.
 //
-// The resident page numbers are an lru.Set, so every operation is O(1)
+// The resident page numbers are an LRU set, so every operation is O(1)
 // and a lookup of the page that is already most recent — every touch
 // of a streaming sweep but the first on each page — compares one field.
 type TLB struct {
-	pages  lru.Set
+	pages  LRU
 	hits   uint64
 	misses uint64
 	_      [64]byte // keeps the next node's TLB, written by another PE, off our host line
@@ -20,7 +18,7 @@ type TLB struct {
 
 // NewTLB returns a TLB with the given number of entries.
 func NewTLB(entries int) *TLB {
-	return &TLB{pages: lru.New(entries)}
+	return &TLB{pages: NewLRU(entries)}
 }
 
 // Lookup translates the page containing addr, returning true on a hit.

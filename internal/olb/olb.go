@@ -21,7 +21,7 @@ import (
 	"sort"
 	"sync"
 
-	"xbgas/internal/lru"
+	"xbgas/internal/mem"
 )
 
 // LocalID is the reserved object ID naming the local processing element.
@@ -37,12 +37,12 @@ type Entry struct {
 }
 
 // OLB is one processing element's Object Look-aside Buffer. It is safe
-// for concurrent use. The translation cache is an lru.Set whose slots
+// for concurrent use. The translation cache is a mem.LRU whose slots
 // carry their translations: a hit reads neither the table nor any map.
 type OLB struct {
 	mu     sync.Mutex
 	table  map[uint64]Entry // backing table: every registered ID
-	cache  lru.Set          // resident IDs
+	cache  mem.LRU          // resident IDs
 	cached []Entry          // cache slot -> its ID's translation
 	hits   uint64
 	misses uint64
@@ -60,7 +60,7 @@ func New(entries int) *OLB {
 	}
 	return &OLB{
 		table:  make(map[uint64]Entry),
-		cache:  lru.New(entries),
+		cache:  mem.NewLRU(entries),
 		cached: make([]Entry, entries),
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// refOLB is the OLB as it stood before the lru.Set cache, kept verbatim
+// refOLB is the OLB as it stood before the mem.LRU cache, kept verbatim
 // (less the lock) as the differential oracle: the backing table is read
 // on every translation, every hit stamps the ID with a fresh tick, and
 // a miss on a full cache scans it for the oldest stamp.
