@@ -68,18 +68,76 @@ func planGrid(t *testing.T) []string {
 //
 // only in a change whose stated goal is to alter a plan.
 func TestPlanGridDigest(t *testing.T) {
-	got := planGrid(t)
-	if os.Getenv("UPDATE_PLAN_DIGEST") != "" {
-		if err := os.MkdirAll(filepath.Dir(planGridFile), 0o755); err != nil {
+	checkGolden(t, planGridFile, "UPDATE_PLAN_DIGEST", "plan", planGrid(t))
+}
+
+// autoGridFile pins what AlgoAuto resolves to over the grid below: one
+// "collective n=N per=P SIZE -> planner" line per decision.
+var autoGridFile = filepath.Join("testdata", "auto_grid.txt")
+
+// TestAutoDecisionGrid is the auto-selection analogue of
+// TestPlanGridDigest: every auto-dispatched collective × {2, 3, 4, 5, 8,
+// 12, 16} flat PEs and 64 PEs on grouped:8 × every power-of-two payload
+// from 8 B to 1 MiB. Decisions are priced by decide directly, so the
+// shared decision cache cannot leak in; a change that moves a plan's
+// price far enough to flip a winner shows here as a line diff.
+// Regenerate with
+//
+//	UPDATE_AUTO_GRID=1 go test ./internal/core -run TestAutoDecisionGrid
+//
+// only in a change whose stated goal is to move a decision.
+func TestAutoDecisionGrid(t *testing.T) {
+	if ChunkBytes() != 0 {
+		t.Fatalf("chunk override %d set; the grid prices auto segmentation", ChunkBytes())
+	}
+	colls := []Collective{
+		CollBroadcast, CollReduce, CollScatter, CollGather,
+		CollAllReduce, CollAllGather, CollReduceScatter,
+	}
+	shapes := []struct{ n, per int }{{2, 0}, {3, 0}, {4, 0}, {5, 0}, {8, 0}, {12, 0}, {16, 0}, {64, 8}}
+	const width = 8
+	tn := CurrentTuning()
+	var lines []string
+	for _, coll := range colls {
+		for _, s := range shapes {
+			for bytes := 8; bytes <= 1<<20; bytes *= 2 {
+				key := keyOf(coll, s.n, bytes/width, width, Shape{PerNode: s.per})
+				dec := decide(key, tn, true)
+				lines = append(lines, fmt.Sprintf("%s n=%d per=%d %s -> %s",
+					coll, s.n, s.per, sizeLabel(bytes), dec.Winner))
+			}
+		}
+	}
+	checkGolden(t, autoGridFile, "UPDATE_AUTO_GRID", "decision", lines)
+}
+
+// sizeLabel renders a power-of-two byte count as B, KiB or MiB.
+func sizeLabel(b int) string {
+	switch {
+	case b >= 1<<20:
+		return fmt.Sprintf("%dMiB", b>>20)
+	case b >= 1<<10:
+		return fmt.Sprintf("%dKiB", b>>10)
+	}
+	return fmt.Sprintf("%dB", b)
+}
+
+// checkGolden compares got line by line with the pinned file, naming up
+// to 20 lines that differ; with the update variable set it rewrites the
+// file instead.
+func checkGolden(t *testing.T, file, updateEnv, what string, got []string) {
+	t.Helper()
+	if os.Getenv(updateEnv) != "" {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(planGridFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d plan digests to %s", len(got), planGridFile)
+		t.Logf("wrote %d lines to %s", len(got), file)
 		return
 	}
-	f, err := os.Open(planGridFile)
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +147,17 @@ func TestPlanGridDigest(t *testing.T) {
 		want = append(want, sc.Text())
 	}
 	if len(got) != len(want) {
-		t.Fatalf("grid has %d plans, %s pins %d", len(got), planGridFile, len(want))
+		t.Fatalf("grid has %d lines, %s pins %d", len(got), file, len(want))
 	}
 	moved := 0
 	for i := range got {
 		if got[i] != want[i] {
 			if moved++; moved <= 20 {
-				t.Errorf("plan changed: got %q, pinned %q", got[i], want[i])
+				t.Errorf("%s changed: got %q, pinned %q", what, got[i], want[i])
 			}
 		}
 	}
 	if moved > 0 {
-		t.Errorf("%d of %d plans differ from the pinned grid", moved, len(want))
+		t.Errorf("%d of %d lines differ from %s", moved, len(want), file)
 	}
 }
