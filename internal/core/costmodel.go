@@ -139,7 +139,8 @@ func ExplainAuto(coll Collective, nPEs, nelems, width int, sh Shape) Decision {
 // are stable. With prune, a candidate's dry run is abandoned as soon as
 // it cannot finish below the best price so far (its Cycles is then that
 // bound). The large-message scatter+all-gather broadcast stays an
-// explicit opt-in: it has its own entry point and stride contract.
+// explicit opt-in: it wins no priced cell (docs/PERF.md), and its
+// Applies contract reads the stride, which decisions are not keyed on.
 // The candidates share one machine that is not kept: a resident fabric
 // is 64 KiB of live heap per NIC for the rest of the process (1 MiB of
 // it moved GUPS's peak RSS by 9 %), and decisions are cached anyway.

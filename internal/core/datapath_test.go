@@ -187,7 +187,7 @@ func (c pathCall) run(pe *xbrtime.PE) (bad int, accesses uint64, err error) {
 	return bad, accesses, pe.Free(dest)
 }
 
-// plan is the plan runPlan resolves for the call on a flat fabric.
+// plan is the plan dispatch resolves for the call on a flat fabric.
 func (c pathCall) plan(n int) (*Plan, error) {
 	seg := SelectSegments(c.coll, c.algo, n, c.nelems, 8)
 	return CompilePlanFor(c.coll, c.algo, n, seg, Shape{})

@@ -12,8 +12,8 @@ import (
 // offsets and counts against the call's arguments, allocates and frees
 // the staging buffers the plan declares, issues blocking or
 // non-blocking transfers, and emits the obs round spans uniformly —
-// the per-collective entry points reduce to validate + Compile +
-// Execute.
+// the per-collective entry points reduce to dispatch (select.go), which
+// validates, resolves, compiles and calls Execute.
 
 // ExecArgs carries one call's runtime arguments into a plan execution.
 type ExecArgs struct {
@@ -40,10 +40,10 @@ type ExecArgs struct {
 	// replaces the world barrier. Nil means the world.
 	Team *xbrtime.Team
 
-	// OnTransfer, when set, observes every put/get the executor issues
-	// (before skip-if-zero suppression it is not called; skipped steps
-	// are invisible, matching the wire). Test instrumentation for the
-	// differential schedule-vs-execution check.
+	// OnTransfer, when set, observes every put/get the executor issues.
+	// A step dropped by SkipIfZero is not reported, matching the wire.
+	// Test instrumentation for the differential schedule-vs-execution
+	// check.
 	OnTransfer func(round int, s Step, count int)
 }
 
@@ -625,27 +625,4 @@ func (e *execEnv) barrier() error {
 		return e.pe.TeamBarrier(e.a.Team)
 	}
 	return e.pe.Barrier()
-}
-
-// runPlan is the shared tail of every collective entry point: pick the
-// segmentation for the message, fetch the cached plan (compiling on
-// first use), open the plan's collective span, and execute. Team
-// executions never segment — a members-only flag allocation would
-// break the symmetric-heap contract.
-func runPlan(pe *xbrtime.PE, coll Collective, algo Algorithm, a ExecArgs) error {
-	seg := 1
-	sh := Shape{}
-	if a.Team == nil {
-		seg = SelectSegments(coll, algo, pe.NumPEs(), a.Nelems, a.DT.Width)
-		// Teams stay on flat plans: member ranks scramble the node
-		// grouping the shaped planners schedule against.
-		sh = shapeOf(pe)
-	}
-	p, err := CompilePlanFor(coll, algo, pe.NumPEs(), seg, sh)
-	if err != nil {
-		return err
-	}
-	cs := pe.StartCollective(p.Span, p.Label(), a.Root, a.Nelems)
-	defer pe.FinishCollective(cs)
-	return Execute(pe, p, a)
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"xbgas/internal/xbrtime"
-)
+import "xbgas/internal/xbrtime"
 
 // This file implements the collective operations the paper lists as
 // future work (§7): "support for further collective operations
@@ -55,13 +51,11 @@ func AllGather(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDis
 // issued handle whether the round succeeds or fails, so the pooled
 // handle slice can never leak.
 func Alltoall(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems int) error {
-	if !dt.Valid() {
-		return fmt.Errorf("core: invalid data type %+v", dt)
-	}
-	if nelems < 0 {
-		return fmt.Errorf("core: negative element count %d", nelems)
-	}
+	a := ExecArgs{DT: dt, Dest: dest, Src: src, Nelems: nelems, Stride: 1}
 	n := pe.NumPEs()
+	if err := validate(CollAlltoall, n, &a); err != nil {
+		return err
+	}
 	p, err := CompilePlan(CollAlltoall, AlgoDirect, n)
 	if err != nil {
 		return err
@@ -70,8 +64,5 @@ func Alltoall(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems int) er
 	// plan executes with virtual rank == logical rank (root 0).
 	cs := pe.StartCollective(p.Span, p.Label(), -1, nelems*n)
 	defer pe.FinishCollective(cs)
-	return Execute(pe, p, ExecArgs{
-		DT: dt, Dest: dest, Src: src,
-		Nelems: nelems, Stride: 1, Root: 0,
-	})
+	return Execute(pe, p, a)
 }

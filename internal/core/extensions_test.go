@@ -319,8 +319,11 @@ func TestWorldTeamEqualsBarrier(t *testing.T) {
 	}
 }
 
+// The pinned large-message broadcast, including the calls its Applies
+// hook hands to the binomial tree: nelems < n (the nelems = 1 cells) and
+// a single PE.
 func TestBroadcastScatterAllgatherCorrectness(t *testing.T) {
-	for _, nPEs := range []int{2, 3, 5, 8} {
+	for _, nPEs := range []int{1, 2, 3, 5, 8} {
 		for _, root := range []int{0, nPEs - 1} {
 			for _, nelems := range []int{1, 7, 64, 100} {
 				nPEs, root, nelems := nPEs, root, nelems
@@ -340,7 +343,7 @@ func TestBroadcastScatterAllgatherCorrectness(t *testing.T) {
 							pe.Poke(dt, src+uint64(i)*w, uint64(3000+i))
 						}
 					}
-					if err := BroadcastScatterAllgather(pe, dt, dest, src, nelems, root); err != nil {
+					if err := BroadcastWith(AlgoScatterAllgather, pe, dt, dest, src, nelems, 1, root); err != nil {
 						return err
 					}
 					for i := 0; i < nelems; i++ {

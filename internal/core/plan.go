@@ -288,7 +288,7 @@ const (
 type Plan struct {
 	Collective Collective
 	Algorithm  Algorithm
-	// Span is the obs collective-span name runPlan opens ("broadcast",
+	// Span is the obs collective-span name dispatch opens ("broadcast",
 	// "broadcast_linear", ...).
 	Span string
 	NPEs int
@@ -454,55 +454,64 @@ func CompilePlanSeg(coll Collective, algo Algorithm, nPEs, segments int) (*Plan,
 		segments = 1
 	}
 	key := planKey{coll, algo, nPEs, segments, 0}
-	planMu.RLock()
-	p := planCache[key]
-	planMu.RUnlock()
-	if p != nil {
+	if p := cachedPlan(key); p != nil {
 		return p, nil
 	}
 	pl, ok := LookupPlanner(algo)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown algorithm %q (registered: %v)", algo, PlannerNames())
+		return nil, unknownAlgorithm(algo)
 	}
-	if segments > 1 && pl.CompileSeg != nil {
-		p = pl.CompileSeg(coll, nPEs, segments)
+	if segments == 1 {
+		return publishPlan(key, pl.Compile(coll, nPEs))
 	}
-	if segments > 1 && p == nil {
-		// No segmented form: alias the unsegmented plan under this key.
-		base, err := CompilePlanSeg(coll, algo, nPEs, 1)
-		if err != nil {
-			return nil, err
+	if pl.CompileSeg != nil {
+		if p := pl.CompileSeg(coll, nPEs, segments); p != nil {
+			return publishPlan(key, p)
 		}
-		planMu.Lock()
-		if prev := planCache[key]; prev != nil {
-			base = prev
-		} else {
-			planCache[key] = base
-		}
-		planMu.Unlock()
-		return base, nil
 	}
+	// No segmented form: alias the unsegmented plan under this key.
+	base, err := CompilePlanSeg(coll, algo, nPEs, 1)
+	if err != nil {
+		return nil, err
+	}
+	return cachePlan(key, base), nil
+}
+
+// cachedPlan is the allocation-free cache hit.
+func cachedPlan(key planKey) *Plan {
+	planMu.RLock()
+	p := planCache[key]
+	planMu.RUnlock()
+	return p
+}
+
+// cachePlan stores p under key unless a concurrent compile already did,
+// and returns the plan the cache keeps: the first one stays canonical.
+func cachePlan(key planKey, p *Plan) *Plan {
+	planMu.Lock()
+	defer planMu.Unlock()
+	if prev := planCache[key]; prev != nil {
+		return prev
+	}
+	planCache[key] = p
+	return p
+}
+
+// publishPlan is the tail of every compile: it labels and finalizes a
+// freshly compiled plan (nil when the planner does not implement the
+// collective) and caches it under key.
+func publishPlan(key planKey, p *Plan) (*Plan, error) {
 	if p == nil {
-		p = pl.Compile(coll, nPEs)
+		return nil, fmt.Errorf("core: algorithm %q does not implement %s", key.algo, key.coll)
 	}
-	if p == nil {
-		return nil, fmt.Errorf("core: algorithm %q does not implement %s", algo, coll)
-	}
-	p.label = coll.String() + "/" + string(algo)
+	p.label = key.coll.String() + "/" + string(key.algo)
 	if p.Segments > 1 {
 		p.label += fmt.Sprintf("[seg=%d]", p.Segments)
 	} else if p.FlagWords > 0 {
 		p.label += "[pipelined]"
 	}
 	p.finalize()
-	planMu.Lock()
-	if prev := planCache[key]; prev != nil {
-		p = prev // lost a compile race; keep the first plan canonical
-	} else {
-		planCache[key] = p
-	}
-	planMu.Unlock()
-	return p, nil
+	return cachePlan(key, p), nil
 }
 
 // Shape carries the fabric grouping a shape-aware planner compiles
@@ -538,30 +547,14 @@ func (sh Shape) grouping(n int) int {
 func CompilePlanFor(coll Collective, algo Algorithm, nPEs, segments int, sh Shape) (*Plan, error) {
 	pl, ok := LookupPlanner(algo)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown algorithm %q (registered: %v)", algo, PlannerNames())
+		return nil, unknownAlgorithm(algo)
 	}
 	if pl.CompileShaped == nil || sh.flat(nPEs) {
 		return CompilePlanSeg(coll, algo, nPEs, segments)
 	}
 	key := planKey{coll, algo, nPEs, 1, sh.PerNode}
-	planMu.RLock()
-	p := planCache[key]
-	planMu.RUnlock()
-	if p != nil {
+	if p := cachedPlan(key); p != nil {
 		return p, nil
 	}
-	p = pl.CompileShaped(coll, nPEs, sh)
-	if p == nil {
-		return nil, fmt.Errorf("core: algorithm %q does not implement %s", algo, coll)
-	}
-	p.label = coll.String() + "/" + string(algo)
-	p.finalize()
-	planMu.Lock()
-	if prev := planCache[key]; prev != nil {
-		p = prev // lost a compile race; keep the first plan canonical
-	} else {
-		planCache[key] = p
-	}
-	planMu.Unlock()
-	return p, nil
+	return publishPlan(key, pl.CompileShaped(coll, nPEs, sh))
 }

@@ -254,25 +254,21 @@ func TestCompilePlanErrors(t *testing.T) {
 // ---------------------------------------------------------------------
 
 func TestCachedPlanExecZeroAllocs(t *testing.T) {
-	rt := xbrtime.MustNew(xbrtime.Config{NumPEs: 1})
-	defer rt.Close()
-	pe := rt.PE(0)
-	buf, err := pe.Malloc(8 * 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dest, src := buf, buf+8
-	// Warm-up compiles and caches the plan and faults in lazy state.
-	if err := Broadcast(pe, xbrtime.TypeInt64, dest, src, 1, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := Broadcast(pe, xbrtime.TypeInt64, dest, src, 1, 1, 0); err != nil {
-			t.Fatal(err)
+	pe, a := onePE(t)
+	for _, e := range entryPoints() {
+		// Warm-up compiles and caches the plan (and the auto decision)
+		// and faults in lazy state.
+		if err := e.call(pe, e.algo, &a); err != nil {
+			t.Fatalf("%s: %v", &e, err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("cached-plan broadcast with obs disabled: %.1f allocs/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := e.call(pe, e.algo, &a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("cached-plan %s with obs disabled: %.1f allocs/op, want 0", &e, allocs)
+		}
 	}
 }
 

@@ -273,12 +273,18 @@ func linearGatherPlan(n int) *Plan {
 }
 
 // compileScatterAllgather builds the van de Geijn large-message
-// broadcast as ONE plan: the payload is chunked equally in
+// broadcast the paper defers to future work ("algorithms optimized for
+// larger message sizes need to be added to our existing binomial tree
+// methodology", §7) as ONE plan: the payload is chunked equally in
 // virtual-rank order (AdjChunks — no pe_msgs vectors needed), the
 // chunks ride the binomial put tree exactly like Algorithm 3, each PE
 // relocates its own chunk into dest, and a ring circulates the chunks
-// until every PE holds the full payload. The wrapper guarantees
-// nelems ≥ nPEs > 1 and stride 1.
+// until every PE holds the full payload. Each PE sends ~2·nelems/N
+// elements instead of the tree's nelems per hop; the message-size
+// ablation shows where that pays. The planner's Applies hook guarantees
+// nelems ≥ nPEs > 1 and stride 1. It has no segmented form: chunking
+// across PEs already amortises large messages, so SelectSegments
+// leaves it one-shot.
 func compileScatterAllgather(coll Collective, n int) *Plan {
 	if coll != CollBroadcast {
 		return nil

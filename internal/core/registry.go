@@ -30,6 +30,12 @@ type Planner struct {
 	// intra-node and inter-node phases separately. Flat shapes fall
 	// back to Compile.
 	CompileShaped func(coll Collective, n int, sh Shape) *Plan
+	// Applies, when non-nil, narrows the planner to the calls its plans
+	// are correct for: a call on n PEs moving nelems elements at the
+	// given stride that it rejects falls back exactly as if the planner
+	// did not implement the collective (resolveAlgorithm). Nil applies
+	// to every call.
+	Applies func(n, nelems, stride int) bool
 }
 
 // Supports reports whether the planner implements coll.
@@ -93,10 +99,14 @@ func init() {
 		},
 		Compile: compileLinear,
 	})
+	// The large-message broadcast is opt-in (decide never prices it). Its
+	// chunks are contiguous by construction, and every PE must own at
+	// least one element; other calls fall back to the binomial tree.
 	RegisterPlanner(&Planner{
 		Name:        AlgoScatterAllgather,
 		Collectives: []Collective{CollBroadcast},
 		Compile:     compileScatterAllgather,
+		Applies:     func(n, nelems, stride int) bool { return stride == 1 && n > 1 && nelems >= n },
 	})
 	RegisterPlanner(&Planner{
 		Name:        AlgoDirect,

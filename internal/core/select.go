@@ -166,85 +166,95 @@ func (a Algorithm) SelectFor(coll Collective, nPEs, nelems, width int, sh Shape)
 	return chooseAuto(coll, nPEs, nelems, width, sh)
 }
 
-// resolveAlgorithm normalises an algorithm request for one collective:
-// auto-selection first, then a registry lookup (unknown names are an
-// error listing what is registered), then a fall-back when the chosen
-// planner does not cover this collective — to the binomial tree when
-// it applies (the pre-registry dispatch switches defaulted the same
+// resolveAlgorithm normalises an algorithm request for one validated
+// call: auto-selection first, then a registry lookup (unknown names are
+// an error listing what is registered), then the one fall-back rule. A
+// planner that does not implement the collective, or whose Applies hook
+// rejects the call, yields to the binomial tree when that implements
+// the collective (the pre-registry dispatch switches defaulted the same
 // way), otherwise to the cost model's pick (reduce-scatter has no
 // binomial form).
-func resolveAlgorithm(algo Algorithm, coll Collective, nPEs, nelems, width int, sh Shape) (Algorithm, error) {
-	selected := algo.SelectFor(coll, nPEs, nelems, width, sh)
+func resolveAlgorithm(algo Algorithm, coll Collective, n int, a *ExecArgs, sh Shape) (Algorithm, error) {
+	selected := algo.SelectFor(coll, n, a.Nelems, a.DT.Width, sh)
 	pl, ok := LookupPlanner(selected)
 	if !ok {
-		return "", fmt.Errorf("core: unknown algorithm %q (registered: %s)",
-			selected, strings.Join(PlannerNames(), ", "))
+		return "", unknownAlgorithm(selected)
 	}
-	if !pl.Supports(coll) {
-		if bin, ok := LookupPlanner(AlgoBinomial); ok && bin.Supports(coll) {
-			return AlgoBinomial, nil
-		}
-		return chooseAuto(coll, nPEs, nelems, width, sh), nil
+	if pl.Supports(coll) && (pl.Applies == nil || pl.Applies(n, a.Nelems, a.Stride)) {
+		return selected, nil
 	}
-	return selected, nil
+	if bin, ok := LookupPlanner(AlgoBinomial); ok && bin.Supports(coll) {
+		return AlgoBinomial, nil
+	}
+	return chooseAuto(coll, n, a.Nelems, a.DT.Width, sh), nil
+}
+
+// unknownAlgorithm is the error for a name no planner is registered
+// under.
+func unknownAlgorithm(algo Algorithm) error {
+	return fmt.Errorf("core: unknown algorithm %q (registered: %s)",
+		algo, strings.Join(PlannerNames(), ", "))
+}
+
+// dispatch is the one path of every call of the seven selectable
+// collectives, always in this order: validate the arguments against the
+// PE count and the collective's contract (collSpecs, including the
+// operator), resolve the algorithm (auto, then the fall-back rule), pick
+// the segmentation, fetch the cached plan for the fabric shape
+// (compiling on first use), and execute it under the plan's collective
+// span. Alltoall and the team calls share the validator and keep tails
+// of their own.
+func dispatch(pe *xbrtime.PE, coll Collective, algo Algorithm, a ExecArgs) error {
+	n := pe.NumPEs()
+	if err := validate(coll, n, &a); err != nil {
+		return err
+	}
+	sh := shapeOf(pe)
+	algo, err := resolveAlgorithm(algo, coll, n, &a, sh)
+	if err != nil {
+		return err
+	}
+	seg := SelectSegments(coll, algo, n, a.Nelems, a.DT.Width)
+	p, err := CompilePlanFor(coll, algo, n, seg, sh)
+	if err != nil {
+		return err
+	}
+	cs := pe.StartCollective(p.Span, p.Label(), a.Root, a.Nelems)
+	defer pe.FinishCollective(cs)
+	return Execute(pe, p, a)
 }
 
 // BroadcastWith dispatches a broadcast through the selector and the
 // planner registry. The large-message algorithm applies only to
 // contiguous (stride 1) broadcasts; strided calls stay on the tree.
 func BroadcastWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems, stride, root int) error {
-	selected, err := resolveAlgorithm(algo, CollBroadcast, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if selected == AlgoScatterAllgather {
-		if stride != 1 {
-			selected = AlgoBinomial
-		} else {
-			return BroadcastScatterAllgather(pe, dt, dest, src, nelems, root)
-		}
-	}
-	if err := validate(pe, dt, nelems, stride, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollBroadcast, selected, ExecArgs{
-		DT: dt, Dest: dest, Src: src,
-		Nelems: nelems, Stride: stride, Root: root,
+	return dispatch(pe, CollBroadcast, algo, ExecArgs{
+		DT: dt, Dest: dest, Src: src, Nelems: nelems, Stride: stride, Root: root,
 	})
 }
 
 // ReduceWith dispatches a reduction through the selector and the
 // planner registry.
 func ReduceWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride, root int) error {
-	selected, err := resolveAlgorithm(algo, CollReduce, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validate(pe, dt, nelems, stride, root); err != nil {
-		return err
-	}
-	if _, err := Combine(dt, op, 0, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollReduce, selected, ExecArgs{
-		DT: dt, Op: op, Dest: dest, Src: src,
-		Nelems: nelems, Stride: stride, Root: root,
+	return dispatch(pe, CollReduce, algo, ExecArgs{
+		DT: dt, Op: op, Dest: dest, Src: src, Nelems: nelems, Stride: stride, Root: root,
 	})
 }
 
 // ScatterWith dispatches a scatter through the selector and the
 // planner registry.
 func ScatterWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
-	selected, err := resolveAlgorithm(algo, CollScatter, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollScatter, selected, ExecArgs{
-		DT: dt, Dest: dest, Src: src,
-		Nelems: nelems, Stride: 1, Root: root,
+	return dispatch(pe, CollScatter, algo, ExecArgs{
+		DT: dt, Dest: dest, Src: src, Nelems: nelems, Stride: 1, Root: root,
+		PeMsgs: peMsgs, PeDisp: peDisp,
+	})
+}
+
+// GatherWith dispatches a gather through the selector and the planner
+// registry.
+func GatherWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
+	return dispatch(pe, CollGather, algo, ExecArgs{
+		DT: dt, Dest: dest, Src: src, Nelems: nelems, Stride: 1, Root: root,
 		PeMsgs: peMsgs, PeDisp: peDisp,
 	})
 }
@@ -252,35 +262,16 @@ func ScatterWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uin
 // AllReduceWith dispatches a reduction-to-all through the selector and
 // the planner registry: auto resolves to the cheapest plan by dry run.
 func AllReduceWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride int) error {
-	selected, err := resolveAlgorithm(algo, CollAllReduce, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validate(pe, dt, nelems, stride, 0); err != nil {
-		return err
-	}
-	if _, err := Combine(dt, op, 0, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollAllReduce, selected, ExecArgs{
-		DT: dt, Op: op, Dest: dest, Src: src,
-		Nelems: nelems, Stride: stride, Root: 0,
+	return dispatch(pe, CollAllReduce, algo, ExecArgs{
+		DT: dt, Op: op, Dest: dest, Src: src, Nelems: nelems, Stride: stride,
 	})
 }
 
 // AllGatherWith dispatches a gather-to-all through the selector and the
 // planner registry.
 func AllGatherWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems int) error {
-	selected, err := resolveAlgorithm(algo, CollAllGather, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollAllGather, selected, ExecArgs{
-		DT: dt, Dest: dest, Src: src,
-		Nelems: nelems, Stride: 1, Root: 0,
+	return dispatch(pe, CollAllGather, algo, ExecArgs{
+		DT: dt, Dest: dest, Src: src, Nelems: nelems, Stride: 1,
 		PeMsgs: peMsgs, PeDisp: peDisp,
 	})
 }
@@ -292,35 +283,7 @@ func AllGatherWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, dest, src u
 // ⌊nelems/n⌋ + (v < nelems mod n)) at dest. The collective is
 // rootless; only the bandwidth-optimal planners implement it.
 func ReduceScatterWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems int) error {
-	selected, err := resolveAlgorithm(algo, CollReduceScatter, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validate(pe, dt, nelems, 1, 0); err != nil {
-		return err
-	}
-	if _, err := Combine(dt, op, 0, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollReduceScatter, selected, ExecArgs{
-		DT: dt, Op: op, Dest: dest, Src: src,
-		Nelems: nelems, Stride: 1, Root: 0,
-	})
-}
-
-// GatherWith dispatches a gather through the selector and the planner
-// registry.
-func GatherWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
-	selected, err := resolveAlgorithm(algo, CollGather, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollGather, selected, ExecArgs{
-		DT: dt, Dest: dest, Src: src,
-		Nelems: nelems, Stride: 1, Root: root,
-		PeMsgs: peMsgs, PeDisp: peDisp,
+	return dispatch(pe, CollReduceScatter, algo, ExecArgs{
+		DT: dt, Op: op, Dest: dest, Src: src, Nelems: nelems, Stride: 1,
 	})
 }
