@@ -13,7 +13,9 @@ import (
 // the smallest (clock, rank) goes next, a PE re-queues before every
 // fabric booking and sleeps in barriers and flag waits — and book a
 // real fabric.Fabric through xbrtime.Timing, the same calls
-// xbrtime.PE makes. Nothing else of the machine exists: no memory (the
+// xbrtime.PE makes. Flags and dissemination signals go through
+// xbrtime.Mailbox, the table behind the runtime's own waits, keyed as
+// the runtime keys them. Nothing else of the machine exists: no memory (the
 // hierarchy is a per-line charge, see touchCost), no bytes, no
 // goroutines, no host clock. The makespan it reports is what AlgoAuto
 // minimises, what the audit compares with lockstep, and — with step
@@ -38,12 +40,13 @@ type dryRun struct {
 	world []int // barrier members: every rank, rank 0 coordinating
 	base  uint64
 
-	ready xbrtime.ReadyQueue
-	pes   []dryPE
-	touch []uint64        // per-packet hierarchy costs handed to Timing
-	nolog []*obs.StepLog  // n nil logs: a nil StepLog records nothing
-	flags map[int]dryFlag // [rank·FlagWords + word]; absent = never posted
-	slots []uint64        // dissemination barrier: [round·n + rank] arrival+1, 0 = empty
+	ready  xbrtime.ReadyQueue
+	pes    []dryPE
+	touch  []uint64                     // per-packet hierarchy costs handed to Timing
+	nolog  []*obs.StepLog               // n nil logs: a nil StepLog records nothing
+	flags  *xbrtime.Mailbox[int]        // completion flags, keyed rank·FlagWords + word
+	slots  *xbrtime.Mailbox[dissemSlot] // the dissemination barrier's signals
+	rounds int                          // of a dissemination barrier; 0 under the central one
 
 	// The central barrier's open epoch.
 	arrived int
@@ -66,23 +69,21 @@ type dryPE struct {
 	round    int    // -1: in the entry barrier
 	idx, rep int    // step within the round (own steps, drain, tail), block repetition
 	dround   int    // round within a dissemination barrier
+	epoch    uint64 // dissemination barriers the PE has left
 	granted  bool   // the scheduler picked the PE for the booking it stands at
 	woken    bool   // the wait it slept in has been released
-	asleep   bool   // in a dissemination round, on its slot
 	lastNB   uint64 // completion of the latest non-blocking transfer of the round
 	drain    uint64 // latest completion among them
 	t0       uint64 // clock at which the current step began
 	by       int    // rank that released the PE's last wait
 }
 
-// dryFlag is one completion-flag word: posts not yet consumed, the
-// latest arrival among them, its poster, and whether the owner sleeps
-// on it.
-type dryFlag struct {
-	at      uint64
-	by      int32
-	pending int16
-	waiting bool
+// dissemSlot is the signal PE dst takes in one round of one
+// dissemination barrier, keyed as the runtime keys it.
+type dissemSlot struct {
+	epoch uint64
+	round int
+	dst   int
 }
 
 // newDryRun builds the machine: n PEs, per to a node (0 = flat).
@@ -98,13 +99,14 @@ func newDryRun(tn Tuning, n, per int) *dryRun {
 		pes:   make([]dryPE, n),
 		nolog: make([]*obs.StepLog, n),
 		ready: make(xbrtime.ReadyQueue, 0, n),
-		flags: map[int]dryFlag{},
+		flags: xbrtime.NewMailbox[int](n),
+		slots: xbrtime.NewMailbox[dissemSlot](n),
 	}
 	for r := range d.world {
 		d.world[r] = r
 	}
 	if tn.Barrier == xbrtime.BarrierDissemination {
-		d.slots = make([]uint64, CeilLog2(n)*n)
+		d.rounds = CeilLog2(n)
 	}
 	return d
 }
@@ -191,8 +193,8 @@ func (d *dryRun) abandon() {
 	d.rebase(last)
 	d.ready = d.ready[:0]
 	d.arrived, d.maxArr = 0, 0
-	clear(d.flags)
-	clear(d.slots)
+	d.flags.Reset()
+	d.slots.Reset()
 }
 
 // touchCost derives the hierarchy charge of the run from the memory
@@ -399,26 +401,22 @@ func (d *dryRun) step(v int, pe *dryPE, s *Step, nb bool) (yield, done bool) {
 			panic(err)
 		}
 		pe.clock, pe.lastNB = next, 0
-		k := s.Peer*d.p.FlagWords + s.Flag
-		f := d.flags[k]
-		if f.waiting {
+		if d.flags.Post(s.Peer, s.Peer*d.p.FlagWords+s.Flag, arrive, v) {
 			d.wake(s.Peer, arrive)
 		}
-		d.flags[k] = dryFlag{at: max(f.at, arrive), by: int32(v), pending: f.pending + 1}
 
 	case StepWaitFlag:
-		k := v*d.p.FlagWords + s.Flag
-		f := d.flags[k]
 		if !pe.woken {
 			pe.clock += xbrtime.FlagPollCPU
-			if f.pending == 0 {
-				d.flags[k] = dryFlag{waiting: true}
-				return false, false
-			}
 		}
 		pe.woken = false
-		pe.clock, pe.by = max(pe.clock, f.at), int(f.by)
-		d.flags[k] = dryFlag{pending: f.pending - 1}
+		k := v*d.p.FlagWords + s.Flag
+		at, by, ok := d.flags.Take(k)
+		if !ok {
+			d.flags.Sleep(v, k)
+			return false, false
+		}
+		pe.clock, pe.by = max(pe.clock, at), by
 	}
 	return false, true
 }
@@ -433,7 +431,7 @@ func (d *dryRun) wake(m int, at uint64) {
 
 // barrier runs PE v through the world barrier of the machine's kind.
 func (d *dryRun) barrier(v int, pe *dryPE) (yield, done bool) {
-	if d.slots != nil {
+	if d.rounds > 0 {
 		return d.dissem(v, pe)
 	}
 	if pe.woken {
@@ -477,8 +475,7 @@ func (d *dryRun) dissem(v int, pe *dryPE) (yield, done bool) {
 		pe.clock += xbrtime.BarrierCPU
 		pe.by = -1 // no single rank releases a dissemination barrier
 	}
-	for rounds := len(d.slots) / d.n; pe.dround < rounds; pe.dround++ {
-		mine := &d.slots[pe.dround*d.n+v]
+	for ; pe.dround < d.rounds; pe.dround++ {
 		if !pe.woken {
 			if !pe.token() {
 				return true, false
@@ -487,23 +484,20 @@ func (d *dryRun) dissem(v int, pe *dryPE) (yield, done bool) {
 			if err != nil {
 				panic(err)
 			}
-			slot := &d.slots[pe.dround*d.n+peer]
-			if *slot != 0 {
-				panic("core: dry run posted a dissemination slot its owner has not consumed")
-			}
-			*slot = arrive + 1
-			if q := &d.pes[peer]; q.asleep && q.dround == pe.dround {
-				q.asleep = false
+			if d.slots.Post(peer, dissemSlot{pe.epoch, pe.dround, peer}, arrive, v) {
 				d.wake(peer, arrive)
-			}
-			if *mine == 0 {
-				pe.asleep = true
-				return false, false
 			}
 		}
 		pe.woken = false
-		pe.clock, *mine = max(pe.clock, *mine-1), 0
+		mine := dissemSlot{pe.epoch, pe.dround, v}
+		at, _, ok := d.slots.Take(mine)
+		if !ok {
+			d.slots.Sleep(v, mine)
+			return false, false
+		}
+		pe.clock = max(pe.clock, at)
 	}
 	pe.dround = 0
+	pe.epoch++
 	return false, true
 }

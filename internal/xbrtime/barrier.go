@@ -150,7 +150,7 @@ func (pe *PE) barrierOnImpl(b *barrierState) error {
 	}
 	// Waiter: hand the execution token back before sleeping so the
 	// remaining PEs can reach the barrier, reacquire it on wakeup.
-	pe.lsBlock()
+	pe.lsBlock(&b.mu)
 	for b.sense != localSense && !b.broken {
 		b.cond.Wait()
 	}

@@ -32,13 +32,16 @@ import (
 // sleeper) — so picking at release time chooses exactly the PE a scan
 // at any later moment would.
 //
-// Sleepers. A PE that blocks in a barrier or flag wait sleeps on that
-// structure's condition variable, not on its grant. The waker marks it
-// ready at its resume clock (wake), so the scheduler may grant it the
-// token while its goroutine is still inside cond.Wait; the grant waits
-// in the channel until the sleeper reaches unblock. A sleeper released
-// by a *broken* barrier or flag hub was never woken: unblock re-queues
-// it and, if the token is free, dispatches.
+// Sleepers. A PE that blocks in a barrier or keyed wait (a flag, a
+// dissemination slot: the Mailbox of a rendezvous) sleeps on that
+// structure's condition variable, not on its grant. It gives the token
+// up (block) with the structure's lock dropped and looks at its wait
+// condition again before it sleeps. The waker marks it ready at its
+// resume clock (wake), so the scheduler may grant it the token while
+// its goroutine is still inside cond.Wait; the grant waits in the
+// channel until the sleeper reaches unblock. A sleeper released by a
+// *broken* barrier or rendezvous was never woken: unblock re-queues it
+// and, if the token is free, dispatches.
 //
 // PE states. A PE is ready (wants the token), running (holds it, or has
 // been granted it and not yet resumed), blocked (asleep inside a
@@ -148,9 +151,11 @@ type lockstep struct {
 	// waits; blocked PEs then re-queue on their own and a dispatch that
 	// finds nobody ready is not a stall.
 	broken bool
-	// onStall runs (under mu, possibly under the caller's barrier or
-	// flag lock — it must not block) when dispatch finds the token free,
-	// no PE ready and at least one blocked: nobody can wake them.
+	// onStall runs when a block or done finds the token free, no PE
+	// ready and at least one blocked: nobody can wake them. It runs
+	// synchronously on the PE that gave the token up, after mu is
+	// released and with no barrier or rendezvous lock held, so it may
+	// take those locks and release the sleepers itself.
 	onStall func()
 }
 
@@ -191,16 +196,19 @@ func (ls *lockstep) enqueue(rank int, clock uint64) {
 
 // dispatch hands the free token to the ready PE with the smallest
 // (clock, rank), if any. Callers hold ls.mu and have given the token up.
-func (ls *lockstep) dispatch() {
+// It reports a stall — nobody ready, somebody blocked — once; the
+// caller runs onStall after releasing ls.mu.
+func (ls *lockstep) dispatch() (stalled bool) {
 	if len(ls.ready) > 0 {
 		ls.run(ls.ready.Pop().Rank)
-		return
+		return false
 	}
 	ls.holder = -1
 	if ls.blocked > 0 && !ls.broken {
 		ls.broken = true
-		ls.onStall()
+		return true
 	}
+	return false
 }
 
 // run marks next as the token holder and wakes it.
@@ -242,14 +250,17 @@ func (ls *lockstep) yield(rank int, clock uint64) {
 // block releases the token without re-queuing: the PE is about to
 // sleep on a barrier condition and cannot run until a peer wakes it.
 // The clock is recorded so the waker can compute the resume clock.
-// block never waits, so it is safe to call with other locks held.
+// block never waits; when it finds a stall it runs onStall.
 func (ls *lockstep) block(rank int, clock uint64) {
 	ls.mu.Lock()
 	ls.state[rank] = lsBlocked
 	ls.clock[rank] = clock
 	ls.blocked++
-	ls.dispatch()
+	stalled := ls.dispatch()
 	ls.mu.Unlock()
+	if stalled {
+		ls.onStall()
+	}
 }
 
 // wake marks a blocked PE ready at its resume clock (its blocked clock
@@ -273,7 +284,7 @@ func (ls *lockstep) wake(rank int, at uint64) {
 func (ls *lockstep) unblock(rank int, clock uint64) {
 	ls.mu.Lock()
 	if ls.state[rank] == lsBlocked {
-		// Released by a broken barrier or flag hub, not by a waker.
+		// Released by a broken barrier or rendezvous, not by a waker.
 		ls.blocked--
 		ls.enqueue(rank, clock)
 		if ls.holder < 0 {
@@ -288,12 +299,16 @@ func (ls *lockstep) unblock(rank int, clock uint64) {
 	<-ls.grant[rank]
 }
 
-// done retires rank permanently and passes the token on.
+// done retires rank permanently and passes the token on; when that
+// leaves only sleepers it runs onStall.
 func (ls *lockstep) done(rank int) {
 	ls.mu.Lock()
 	ls.state[rank] = lsDone
-	ls.dispatch()
+	stalled := ls.dispatch()
 	ls.mu.Unlock()
+	if stalled {
+		ls.onStall()
+	}
 }
 
 // ErrStalled is returned (wrapped, with one clause per sleeper) from a
@@ -301,10 +316,10 @@ func (ls *lockstep) done(rank int) {
 // wait: the program deadlocked.
 var ErrStalled = errors.New("xbrtime: lockstep stall, every unfinished PE is blocked")
 
-// diagnoseStall names what each blocked PE sleeps on. It runs once the
-// scheduler has found the stall, so no PE is running and the tables it
-// reads are quiescent; the locks order it after the last sleeper's
-// cond.Wait.
+// diagnoseStall names what each blocked PE sleeps on. It runs on the
+// PE whose block or done found the stall, so no PE is running, and
+// every sleeper recorded its key before it gave the token up: the
+// tables it reads are quiescent.
 func (rt *Runtime) diagnoseStall() error {
 	ls := rt.sched
 	ls.mu.Lock()
@@ -336,12 +351,20 @@ func (pe *PE) lsYield() {
 	}
 }
 
-// lsBlock releases the execution token before the PE sleeps on a
-// barrier condition. Safe to call with the barrier lock held.
-func (pe *PE) lsBlock() {
-	if ls := pe.rt.ls; ls != nil {
-		ls.block(pe.rank, pe.clock)
+// lsBlock releases the execution token before the PE sleeps on a wait
+// guarded by mu, which the caller holds. In lockstep mode mu is dropped
+// meanwhile — a stall found here is diagnosed and broken on this
+// goroutine, under the waits' own locks — and lsBlock reports it: the
+// caller must then look at its wait condition again before it sleeps.
+func (pe *PE) lsBlock(mu *sync.Mutex) (dropped bool) {
+	ls := pe.rt.ls
+	if ls == nil {
+		return false
 	}
+	mu.Unlock()
+	ls.block(pe.rank, pe.clock)
+	mu.Lock()
+	return true
 }
 
 // lsWake re-queues a blocked peer at its resume clock. The caller holds

@@ -144,8 +144,8 @@ type Runtime struct {
 	timing  *Timing // clock arithmetic of the remote primitives on machine.Fabric
 	pes     []*PE
 	barrier *barrierState
-	dissem  *dissemState
-	flags   *flagHub
+	dissem  *rendezvous[dissemKey]
+	flags   *rendezvous[flagKey]
 	sched   *lockstep // the Deterministic scheduler, nil otherwise
 	ls      *lockstep // sched while a Run is active, so PE calls outside Run run free
 	obsRun  *obs.Run  // non-nil when cfg.Obs is set
@@ -182,8 +182,8 @@ func New(cfg Config) (*Runtime, error) {
 		machine: m,
 		timing:  NewTiming(m.Fabric, cfg.InflightDepth, cfg.UnrollThreshold),
 		barrier: newBarrierState(cfg.NumPEs),
-		dissem:  newDissemState(cfg.NumPEs),
-		flags:   newFlagHub(cfg.NumPEs),
+		dissem:  newRendezvous[dissemKey](cfg.NumPEs),
+		flags:   newRendezvous[flagKey](cfg.NumPEs),
 	}
 	rt.barriers = []*barrierState{rt.barrier}
 	if cfg.Deterministic && cfg.Transport == TransportNative {
@@ -273,7 +273,7 @@ func (rt *Runtime) MaxClock() uint64 {
 // Run executes fn once per PE, each on its own goroutine (the SPMD
 // model), and returns after all PEs finish. A PE returning an error
 // while others sit in a barrier or flag wait would deadlock them, so
-// Run then breaks every barrier and the flag hub, releasing the
+// Run then breaks every barrier and flag wait, releasing the
 // survivors with ErrBarrierBroken / ErrWaitBroken; it returns the
 // lowest-ranked error that is not such a release. In lockstep mode a
 // program in which every live PE sleeps on something nobody will signal
@@ -283,14 +283,10 @@ func (rt *Runtime) Run(fn func(pe *PE) error) error {
 	var stallErr error
 	if rt.sched != nil {
 		rt.sched.reset(rt.pes, func() {
-			// Called under the scheduler lock and possibly a barrier or
-			// flag lock, by a PE goroutine wg still counts.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				stallErr = rt.diagnoseStall()
-				rt.breakAll()
-			}()
+			// Called by the PE goroutine that found the stall, holding
+			// no lock; wg still counts it.
+			stallErr = rt.diagnoseStall()
+			rt.breakAll()
 		})
 		rt.ls = rt.sched
 		defer func() { rt.ls = nil }()
@@ -340,7 +336,7 @@ func (rt *Runtime) breakAll() {
 		b.breakBarrier()
 	}
 	rt.barriersMu.Unlock()
-	rt.dissem.breakBarrier()
+	rt.dissem.breakAll()
 	rt.flags.breakAll()
 }
 
