@@ -166,6 +166,50 @@ func benchLargeBroadcast(b *testing.B, elems, chunk int) {
 // tracks it in the checked-in baseline next to GUPS8PE.
 func BenchmarkBcast1MB8PE(b *testing.B) { benchLargeBroadcast(b, 1<<17, 0) }
 
+// BenchmarkGather1MB8PE is the paper's binomial gather (Algorithm 4) of
+// 1 MiB across 8 PEs, root 0, with the default segmentation, which
+// leaves it unsegmented and on the element path: every block is staged
+// by virtual rank and the root reorders it, so the PE-local timed
+// element copy is its largest host cost.
+func BenchmarkGather1MB8PE(b *testing.B) {
+	const elems = 1 << 17
+	rt := xbrtime.MustNew(xbrtime.Config{NumPEs: 8})
+	defer rt.Close()
+	per := elems / 8
+	msgs := make([]int, 8)
+	disp := make([]int, 8)
+	for i := range msgs {
+		msgs[i] = per
+		disp[i] = i * per
+	}
+	var dest, src uint64
+	err := rt.Run(func(pe *xbrtime.PE) error {
+		d, err := pe.Malloc(elems * 8)
+		if err != nil {
+			return err
+		}
+		s, err := pe.Malloc(uint64(per) * 8)
+		if err != nil {
+			return err
+		}
+		dest, src = d, s
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(elems * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rt.Run(func(pe *xbrtime.PE) error {
+			return core.GatherWith(core.AlgoBinomial, pe, xbrtime.TypeULong, dest, src, msgs, disp, elems, 0)
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBcast1MB8PEUnsegmented is the same payload with
 // segmentation disabled — the pair is the speedup the pipelined
 // executor buys on the host.
