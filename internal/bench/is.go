@@ -237,10 +237,7 @@ func RunIS(p ISParams, nPEs int) (Result, error) {
 				dest := recv + uint64(dstOff)*w
 				src := stage + uint64(stageOff[b])*w
 				if b == me {
-					for i := 0; i < counts[b]; i++ {
-						v := pe.ReadElem(dt, src+uint64(i)*w)
-						pe.WriteElem(dt, dest+uint64(i)*w, v)
-					}
+					pe.CopyElems(dt, dest, src, counts[b], 1, 1)
 					continue
 				}
 				h, err := pe.PutNB(dt, dest, src, counts[b], 1, b)

@@ -159,16 +159,6 @@ func spanBytes(dt xbrtime.DType, nelems, stride int) uint64 {
 	return uint64(((nelems-1)*stride + 1) * dt.Width)
 }
 
-// timedCopy copies n elements with independent strides through the
-// PE's timed local accessors.
-func timedCopy(pe *xbrtime.PE, dt xbrtime.DType, dst, src uint64, n, dstStride, srcStride int) {
-	w := uint64(dt.Width)
-	for i := 0; i < n; i++ {
-		v := pe.ReadElem(dt, src+uint64(i*srcStride)*w)
-		pe.WriteElem(dt, dst+uint64(i*dstStride)*w, v)
-	}
-}
-
 // adjustedDisplacements computes the adj_disp array of Algorithms 3 and
 // 4: the element offset, in virtual-rank order, at which each virtual
 // rank's block begins inside the reordered shared buffer. The returned

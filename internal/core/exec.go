@@ -370,7 +370,7 @@ func (e *execEnv) step(s *Step, r *Round, handles *[]xbrtime.Handle) error {
 			pe.CopyChunk(a.DT, dst, src, cnt)
 			return nil
 		}
-		timedCopy(pe, a.DT, dst, src, cnt, ds, ss)
+		pe.CopyElems(a.DT, dst, src, cnt, ds, ss)
 
 	case StepCombine:
 		cnt := e.count(s)

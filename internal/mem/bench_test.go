@@ -40,6 +40,28 @@ func BenchmarkTouchRangeSeq(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N)/lines, "simCycles/line")
 }
 
+// BenchmarkTouchCopy is the element path's PE-local copy shape (the
+// binomial scatter/gather staging copies): a 1 MiB stride-1 copy of
+// 8-byte elements, a read and a write touch per element, rotating over
+// 8 hierarchies as BenchmarkTouchRangeSeq does. One op is one copy.
+func BenchmarkTouchCopy(b *testing.B) {
+	const elems = benchSweep / 8
+	var hs [8]*Hierarchy
+	for i := range hs {
+		hs[i] = MustHierarchy(DefaultConfig())
+		hs[i].TouchCopy(benchBase+benchSweep, benchBase, 8, 8, 8, elems)
+	}
+	var cycles uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycles += hs[i%len(hs)].TouchCopy(benchBase+benchSweep, benchBase, 8, 8, 8, elems)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
+	b.ReportMetric(float64(cycles)/float64(b.N)/elems, "simCycles/elem")
+}
+
 // BenchmarkTouchRandom is GUPS's local side: 8-byte touches at random
 // words of one PE's 2 MiB table slice, alternating read and write.
 func BenchmarkTouchRandom(b *testing.B) {

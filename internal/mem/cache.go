@@ -65,13 +65,17 @@ func MustCache(name string, size, ways int) *Cache {
 	return c
 }
 
+// set returns the index of the set that holds lineAddr.
+func (c *Cache) set(lineAddr uint64) uint64 {
+	if !c.pow2 {
+		return lineAddr % c.sets
+	}
+	return lineAddr & c.mask
+}
+
 // access probes a single line. write marks the line dirty on presence.
 func (c *Cache) access(lineAddr uint64, write bool) (hit bool) {
-	idx := lineAddr & c.mask
-	if !c.pow2 {
-		idx = lineAddr % c.sets
-	}
-	base := int(idx) * c.ways
+	base := int(c.set(lineAddr)) * c.ways
 	set := c.words[base : base+c.ways]
 	key := (lineAddr + 1) << 1
 	var dirty uint64

@@ -1,5 +1,7 @@
 package mem
 
+import "math"
+
 // Config describes one node's memory system. The geometry defaults come
 // straight from paper §5.1; the latencies are nominal cycle costs typical
 // for that geometry and are the knobs of the performance model.
@@ -164,6 +166,69 @@ func (h *Hierarchy) TouchRange(addr uint64, size int, step uint64, n int, write 
 		total += c
 	}
 	return total
+}
+
+// TouchCopy charges the cycle cost of an n-element copy: for i in
+// [0, n), a size-byte read at src+i·srcStep and then a size-byte write
+// at dst+i·dstStep. Its total, its counters and the TLB, cache and
+// prefetcher state it leaves are exactly those of that loop of 2n Touch
+// calls.
+//
+// A pair whose read and write start and end in the lines of the pair
+// before it is counted, not probed: two TLB hits, two L1 hits, two L1
+// latencies. That is exact once one full pair on those lines has left
+// them resident with a recency order the repeat restores (see
+// foldable): the repeat moves the source page and line to the front,
+// then the destination's, which is where the full pair left them, and
+// hits nowhere feed the prefetcher or reach L2.
+func (h *Hierarchy) TouchCopy(dst, src uint64, size int, dstStep, srcStep uint64, n int) uint64 {
+	if size <= 0 || n <= 0 {
+		return 0
+	}
+	var total uint64
+	for i := 0; i < n; i++ {
+		s, d := src+uint64(i)*srcStep, dst+uint64(i)*dstStep
+		pf := h.prefetches
+		total += h.Touch(s, size, false) + h.Touch(d, size, true)
+		if h.prefetches != pf || !h.foldable(s, d, size) {
+			continue
+		}
+		k := min(lineRun(s, size, srcStep), lineRun(d, size, dstStep), uint64(n-1-i))
+		h.accesses += 2 * k
+		h.tlb.hits += 2 * k
+		h.l1.hits += 2 * k
+		c := 2 * k * h.cfg.L1Latency
+		h.cycles += c
+		total += c
+		i += int(k)
+	}
+	return total
+}
+
+// foldable reports whether repeating the read of [s, s+size) and the
+// write of [d, d+size) just issued would hit twice and leave every
+// recency order as it is: each access lies in one line, and neither
+// the destination's page nor its line can have evicted the source's —
+// the TLB holds two pages or both are one page, and L1 holds two ways
+// or the lines are one line or sit in different sets.
+func (h *Hierarchy) foldable(s, d uint64, size int) bool {
+	span := uint64(size) - 1
+	sl, dl := s/LineSize, d/LineSize
+	if (s+span)/LineSize != sl || (d+span)/LineSize != dl {
+		return false
+	}
+	return (h.tlb.Entries() >= 2 || s/PageSize == d/PageSize) &&
+		(h.l1.ways >= 2 || sl == dl || h.l1.set(sl) != h.l1.set(dl))
+}
+
+// lineRun returns how many of the accesses at a+step, a+2·step, ...
+// lie wholly in the line of the size-byte access at a, which must
+// itself lie in one line.
+func lineRun(a uint64, size int, step uint64) uint64 {
+	if step == 0 {
+		return math.MaxUint64
+	}
+	return ((a/LineSize+1)*LineSize - a - uint64(size)) / step
 }
 
 // Prefetches returns the number of lines brought in by the stream

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -748,5 +749,142 @@ func TestTouchRangeMatchesTouch(t *testing.T) {
 	}
 	if h := MustHierarchy(DefaultConfig()); h.TouchRange(0, 0, 8, 4, false, nil) != 0 || h.TouchRange(0, 8, 8, 0, false, nil) != 0 || h.Accesses() != 0 {
 		t.Error("empty TouchRange must cost nothing and count nothing")
+	}
+}
+
+// hierState is every statistic of a Hierarchy and the stream
+// prefetcher's state.
+type hierState struct {
+	accesses, cycles, prefetches, lastMissLine uint64
+	tlbHit, tlbMiss                            uint64
+	l1Hit, l1Miss, l1Evict, l1WB               uint64
+	l2Hit, l2Miss, l2Evict, l2WB               uint64
+}
+
+func readHierState(h *Hierarchy) hierState {
+	return hierState{
+		h.Accesses(), h.Cycles(), h.Prefetches(), h.lastMissLine,
+		h.TLB().Hits(), h.TLB().Misses(),
+		h.L1().Hits(), h.L1().Misses(), h.L1().Evictions(), h.L1().WritebackBytes(),
+		h.L2().Hits(), h.L2().Misses(), h.L2().Evictions(), h.L2().WritebackBytes(),
+	}
+}
+
+// copyCall is one TouchCopy call.
+type copyCall struct {
+	dst, src         uint64
+	size             int
+	dstStep, srcStep uint64
+	n                int
+}
+
+// touchCopyLoop is TouchCopy's definition: a read and a write Touch per
+// element.
+func touchCopyLoop(h *Hierarchy, c copyCall) (total uint64) {
+	for i := 0; i < c.n; i++ {
+		total += h.Touch(c.src+uint64(i)*c.srcStep, c.size, false)
+		total += h.Touch(c.dst+uint64(i)*c.dstStep, c.size, true)
+	}
+	return total
+}
+
+// checkTouchCopy issues calls through TouchCopy on one hierarchy and
+// through the Touch loop on a twin, then compares every total and
+// counter, and finally the costs of a random probe trace run on both,
+// which differ if any TLB, cache or prefetcher state does.
+func checkTouchCopy(t *testing.T, name string, cfg Config, calls []copyCall, rng *rand.Rand) {
+	t.Helper()
+	folded, looped := MustHierarchy(cfg), MustHierarchy(cfg)
+	for k, c := range calls {
+		if got, want := folded.TouchCopy(c.dst, c.src, c.size, c.dstStep, c.srcStep, c.n), touchCopyLoop(looped, c); got != want {
+			t.Fatalf("%s: call %d %+v: TouchCopy %d, Touch loop %d", name, k, c, got, want)
+		}
+		if got, want := readHierState(folded), readHierState(looped); got != want {
+			t.Fatalf("%s: after call %d %+v:\nTouchCopy  %+v\nTouch loop %+v", name, k, c, got, want)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		addr := uint64(rng.Intn(8 * PageSize))
+		size := 1 << rng.Intn(4)
+		write := rng.Intn(2) == 0
+		if got, want := folded.Touch(addr, size, write), looped.Touch(addr, size, write); got != want {
+			t.Fatalf("%s: probe %d (%#x, %d, %v) after the copies: cost %d, twin %d", name, i, addr, size, write, got, want)
+		}
+	}
+	if got, want := readHierState(folded), readHierState(looped); got != want {
+		t.Fatalf("%s: after the probe trace:\nTouchCopy  %+v\nTouch loop %+v", name, got, want)
+	}
+}
+
+func TestTouchCopyMatchesTouch(t *testing.T) {
+	tiny := Config{TLBEntries: 1, L1Size: LineSize, L1Ways: 1, L2Size: 4 * LineSize, L2Ways: 2,
+		L1Latency: 2, L2Latency: 18, MemLatency: 200, TLBMissCost: 60}
+	named := []struct {
+		name string
+		cfg  Config
+		c    copyCall
+	}{
+		// A 4-byte element straddling a line: the read at LineSize+2-4
+		// starts in the line of the read before it but ends in the
+		// next, so a fold that looks only at where accesses start
+		// counts the straddling pair as two hits.
+		{"4-byte element straddling a line", DefaultConfig(), copyCall{0x10000, LineSize - 6, 4, 4, 4, 64}},
+		{"8-byte stride 1", DefaultConfig(), copyCall{0x40000, 0x10000, 8, 8, 8, 4096}},
+		{"dst == src", DefaultConfig(), copyCall{0x10000, 0x10000, 4, 4, 4, 512}},
+		{"dst one element above src", DefaultConfig(), copyCall{0x10004, 0x10000, 4, 4, 4, 512}},
+		{"dst two elements below src", DefaultConfig(), copyCall{0x10000, 0x10010, 8, 8, 8, 512}},
+		{"same page, 1-entry TLB", tiny, copyCall{0x100, 0x800, 8, 8, 8, 300}},
+		{"pages alternate, 1-entry TLB", tiny, copyCall{0x1100, 0x100, 8, 8, 8, 300}},
+		{"one set, one way", tiny, copyCall{0x1000, 0x1040, 4, 4, 4, 300}},
+		{"one set, one way, one line", tiny, copyCall{0x1000, 0x1020, 2, 2, 2, 16}},
+		{"strided source", DefaultConfig(), copyCall{0x40000, 0x10000, 4, 4, 12, 2048}},
+		{"zero steps", DefaultConfig(), copyCall{0x40000, 0x10000, 8, 0, 0, 100}},
+	}
+	for _, prefetch := range []bool{false, true} {
+		for _, tc := range named {
+			cfg := tc.cfg
+			cfg.Prefetch = prefetch
+			checkTouchCopy(t, fmt.Sprintf("%s, prefetch=%v", tc.name, prefetch), cfg, []copyCall{tc.c, tc.c}, rand.New(rand.NewSource(1)))
+		}
+	}
+
+	// Random geometries and calls over a few pages, so lines, sets and
+	// pages collide, ranges overlap and the prefetcher fires.
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 400; trial++ {
+		ways := []int{1, 2, 8}[rng.Intn(3)]
+		cfg := Config{
+			TLBEntries: []int{1, 2, 256}[rng.Intn(3)],
+			L1Size:     ways * (1 + rng.Intn(32)) * LineSize, L1Ways: ways,
+			L2Size: 4 * 64 * LineSize, L2Ways: 4,
+			L1Latency: 2, L2Latency: 18, MemLatency: 200, TLBMissCost: 60,
+			Prefetch: rng.Intn(2) == 0,
+		}
+		calls := make([]copyCall, 1+rng.Intn(4))
+		for k := range calls {
+			size := 1 << rng.Intn(4)
+			c := copyCall{
+				src: uint64(rng.Intn(6 * PageSize)), size: size,
+				srcStep: uint64(size * rng.Intn(4)), dstStep: uint64(size * rng.Intn(4)),
+				n: 1 + rng.Intn(400),
+			}
+			if rng.Intn(4) == 0 { // a byte step, not a whole element
+				c.srcStep = uint64(rng.Intn(3 * LineSize))
+			}
+			switch rng.Intn(3) {
+			case 0:
+				c.dst = c.src
+			case 1:
+				c.dst = c.src + uint64((rng.Intn(7)-3)*size)
+			default:
+				c.dst = uint64(rng.Intn(6 * PageSize))
+			}
+			calls[k] = c
+		}
+		checkTouchCopy(t, fmt.Sprintf("trial %d (%+v)", trial, cfg), cfg, calls, rng)
+	}
+
+	if h := MustHierarchy(DefaultConfig()); h.TouchCopy(0, 64, 0, 8, 8, 4) != 0 || h.TouchCopy(0, 64, 8, 8, 8, 0) != 0 || h.Accesses() != 0 {
+		t.Error("empty TouchCopy must cost nothing and count nothing")
 	}
 }

@@ -77,18 +77,28 @@ func (n *Node) LockedWriteElems(addr uint64, size int, step uint64, count int, s
 	n.Hier.RAM().WriteElems(addr, size, step, count, src)
 }
 
-// LockedCopyElems copies count size-byte elements from src to dest
-// (both on this node, same stride at both ends) under one lock
-// acquisition, element by element in address order — the same
-// read-then-write interleaving, and therefore the same overlap
-// semantics, as a loop of LockedRead/LockedWrite pairs.
-func (n *Node) LockedCopyElems(dest, src uint64, size int, step uint64, count int) {
+// LockedCopyElems copies count size-byte elements from src, src+srcStep,
+// ... to dest, dest+destStep, ... (both on this node) under one lock
+// acquisition, element by element in order — the same read-then-write
+// interleaving, and therefore the same overlap semantics, as a loop of
+// LockedRead/LockedWrite pairs. Contiguous ranges that do not overlap
+// cannot observe that order, so they move a block of bytes at a time.
+func (n *Node) LockedCopyElems(dest, src uint64, size int, destStep, srcStep uint64, count int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ram := n.Hier.RAM()
+	w := uint64(size)
+	if span := uint64(count) * w; destStep == w && srcStep == w && (dest+span <= src || src+span <= dest) {
+		var block [1024]byte
+		for off := uint64(0); off < span; off += uint64(len(block)) {
+			b := block[:min(span-off, uint64(len(block)))]
+			ram.ReadBytes(src+off, b)
+			ram.WriteBytes(dest+off, b)
+		}
+		return
+	}
 	for i := 0; i < count; i++ {
-		off := uint64(i) * step
-		ram.WriteUint(dest+off, size, ram.ReadUint(src+off, size))
+		ram.WriteUint(dest+uint64(i)*destStep, size, ram.ReadUint(src+uint64(i)*srcStep, size))
 	}
 }
 

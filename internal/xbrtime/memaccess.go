@@ -20,6 +20,22 @@ func (pe *PE) WriteElem(dt DType, addr uint64, canon uint64) {
 	pe.Advance(pe.node.Store(addr, dt.Width, canon) + loadCPU)
 }
 
+// CopyElems copies n elements of type dt within the PE's own memory:
+// element i is read at src + i·srcStride·width and written at
+// dst + i·dstStride·width, in element order. The clock, the hierarchy
+// and the bytes end exactly as after n ReadElem/WriteElem pairs
+// (overlapping ranges smear as that loop does), priced in one
+// Hierarchy.TouchCopy and moved under one lock.
+func (pe *PE) CopyElems(dt DType, dst, src uint64, n, dstStride, srcStride int) {
+	if n <= 0 {
+		return
+	}
+	w := uint64(dt.Width)
+	ds, ss := uint64(dstStride)*w, uint64(srcStride)*w
+	pe.Advance(pe.node.Hier.TouchCopy(dst, src, dt.Width, ds, ss, n) + 2*loadCPU*uint64(n))
+	pe.node.LockedCopyElems(dst, src, dt.Width, ds, ss, n)
+}
+
 // Peek reads one element functionally (no cycle charge, no cache
 // perturbation). Benchmarks use it for setup and verification.
 func (pe *PE) Peek(dt DType, addr uint64) uint64 {

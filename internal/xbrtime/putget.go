@@ -99,23 +99,14 @@ func (pe *PE) putImpl(dt DType, dest, src uint64, nelems, stride int, target int
 		return pe.spikePut(dt, dest, src, nelems, stride, target)
 	}
 
-	w := dt.Width
-	step := uint64(stride * w)
-
 	if target == pe.rank {
 		// PE-local put: plain loads and stores through the hierarchy.
-		// Timing first (the alternating read/write touches drive the
-		// same cache transitions as the reference element loop), then
-		// the data moves in one locked pass with the reference's
-		// element-order overlap semantics.
-		for i := 0; i < nelems; i++ {
-			off := uint64(i) * step
-			pe.Advance(pe.node.Hier.Touch(src+off, w, false) + loadCPU)
-			pe.Advance(pe.node.Hier.Touch(dest+off, w, true) + loadCPU)
-		}
-		pe.node.LockedCopyElems(dest, src, w, step, nelems)
+		pe.CopyElems(dt, dest, src, nelems, stride, stride)
 		return Handle{completeAt: pe.clock, active: true}, nil
 	}
+
+	w := dt.Width
+	step := uint64(stride * w)
 
 	// In lockstep mode, transfers book the fabric in virtual-clock
 	// order.
@@ -177,19 +168,14 @@ func (pe *PE) getImpl(dt DType, dest, src uint64, nelems, stride int, target int
 		return pe.spikeGet(dt, dest, src, nelems, stride, target)
 	}
 
-	w := dt.Width
-	step := uint64(stride * w)
-
 	if target == pe.rank {
 		// PE-local get mirrors the PE-local put.
-		for i := 0; i < nelems; i++ {
-			off := uint64(i) * step
-			pe.Advance(pe.node.Hier.Touch(src+off, w, false) + loadCPU)
-			pe.Advance(pe.node.Hier.Touch(dest+off, w, true) + loadCPU)
-		}
-		pe.node.LockedCopyElems(dest, src, w, step, nelems)
+		pe.CopyElems(dt, dest, src, nelems, stride, stride)
 		return Handle{completeAt: pe.clock, active: true}, nil
 	}
+
+	w := dt.Width
+	step := uint64(stride * w)
 
 	pe.lsYield()
 
