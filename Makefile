@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# internal/core alone takes ~10 minutes under the race detector on a
+# 2-core box, past go test's default per-binary timeout; the longer
+# timeout keeps every test in the run (no -short).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 
 # Host-performance microbenchmarks (see docs/PERF.md). Writes the raw
 # `go test -bench` output to bench_current.txt and records it as

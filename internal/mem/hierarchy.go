@@ -180,7 +180,7 @@ func (h *Hierarchy) TouchRange(addr uint64, size int, step uint64, n int, write 
 // them resident with a recency order the repeat restores (see
 // foldable): the repeat moves the source page and line to the front,
 // then the destination's, which is where the full pair left them, and
-// hits nowhere feed the prefetcher or reach L2.
+// a hit neither feeds the prefetcher nor reaches L2.
 func (h *Hierarchy) TouchCopy(dst, src uint64, size int, dstStep, srcStep uint64, n int) uint64 {
 	if size <= 0 || n <= 0 {
 		return 0
