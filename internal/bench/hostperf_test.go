@@ -172,42 +172,9 @@ func BenchmarkBcast1MB8PE(b *testing.B) { benchLargeBroadcast(b, 1<<17, 0) }
 // by virtual rank and the root reorders it, so the PE-local timed
 // element copy is its largest host cost.
 func BenchmarkGather1MB8PE(b *testing.B) {
-	const elems = 1 << 17
-	rt := xbrtime.MustNew(xbrtime.Config{NumPEs: 8})
-	defer rt.Close()
-	per := elems / 8
-	msgs := make([]int, 8)
-	disp := make([]int, 8)
-	for i := range msgs {
-		msgs[i] = per
-		disp[i] = i * per
-	}
-	var dest, src uint64
-	err := rt.Run(func(pe *xbrtime.PE) error {
-		d, err := pe.Malloc(elems * 8)
-		if err != nil {
-			return err
-		}
-		s, err := pe.Malloc(uint64(per) * 8)
-		if err != nil {
-			return err
-		}
-		dest, src = d, s
-		return nil
+	benchLargeGathered(b, 1<<17, func(pe *xbrtime.PE, dest, src uint64, msgs, disp []int, elems int) error {
+		return core.GatherWith(core.AlgoBinomial, pe, xbrtime.TypeULong, dest, src, msgs, disp, elems, 0)
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(elems * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rt.Run(func(pe *xbrtime.PE) error {
-			return core.GatherWith(core.AlgoBinomial, pe, xbrtime.TypeULong, dest, src, msgs, disp, elems, 0)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkBcast1MB8PEUnsegmented is the same payload with
@@ -278,6 +245,14 @@ func benchLargeAllreduceOn(b *testing.B, elems int, algo core.Algorithm, cfg xbr
 // benchLargeAllgather drives an allgather whose concatenated result is
 // elems elements: each of the 8 PEs contributes elems/8.
 func benchLargeAllgather(b *testing.B, elems int, algo core.Algorithm) {
+	benchLargeGathered(b, elems, func(pe *xbrtime.PE, dest, src uint64, msgs, disp []int, elems int) error {
+		return core.AllGatherWith(pe, algo, xbrtime.TypeULong, dest, src, msgs, disp, elems)
+	})
+}
+
+// benchLargeGathered drives a gather-shaped call on 8 PEs whose
+// concatenated result is elems elements, each PE contributing elems/8.
+func benchLargeGathered(b *testing.B, elems int, call func(pe *xbrtime.PE, dest, src uint64, msgs, disp []int, elems int) error) {
 	b.Helper()
 	rt := xbrtime.MustNew(xbrtime.Config{NumPEs: 8})
 	defer rt.Close()
@@ -309,7 +284,7 @@ func benchLargeAllgather(b *testing.B, elems int, algo core.Algorithm) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := rt.Run(func(pe *xbrtime.PE) error {
-			return core.AllGatherWith(pe, algo, xbrtime.TypeULong, dest, src, msgs, disp, elems)
+			return call(pe, dest, src, msgs, disp, elems)
 		}); err != nil {
 			b.Fatal(err)
 		}
