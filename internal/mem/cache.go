@@ -67,10 +67,11 @@ func MustCache(name string, size, ways int) *Cache {
 
 // set returns the index of the set that holds lineAddr.
 func (c *Cache) set(lineAddr uint64) uint64 {
+	idx := lineAddr & c.mask
 	if !c.pow2 {
-		return lineAddr % c.sets
+		idx = lineAddr % c.sets
 	}
-	return lineAddr & c.mask
+	return idx
 }
 
 // access probes a single line. write marks the line dirty on presence.

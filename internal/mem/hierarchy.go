@@ -190,7 +190,7 @@ func (h *Hierarchy) TouchCopy(dst, src uint64, size int, dstStep, srcStep uint64
 		s, d := src+uint64(i)*srcStep, dst+uint64(i)*dstStep
 		pf := h.prefetches
 		total += h.Touch(s, size, false) + h.Touch(d, size, true)
-		if h.prefetches != pf || !h.foldable(s, d, size) {
+		if i+1 == n || h.prefetches != pf || !h.foldable(s, d, size) {
 			continue
 		}
 		k := min(lineRun(s, size, srcStep), lineRun(d, size, dstStep), uint64(n-1-i))

@@ -85,6 +85,24 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) {
 	}
 }
 
+// Copy copies n bytes from src to dst, a run within one source and one
+// destination page at a time. The ranges must not overlap. Unwritten
+// source memory copies as zeros, and the destination pages become
+// resident, as a ReadBytes into a buffer and a WriteBytes from it would.
+func (m *Memory) Copy(dst, src, n uint64) {
+	for n > 0 {
+		do, so := dst%PageSize, src%PageSize
+		k := min(n, PageSize-do, PageSize-so)
+		d := m.page(dst, true)
+		if s := m.page(src, false); s != nil {
+			copy(d[do:do+k], s[so:so+k])
+		} else {
+			clear(d[do : do+k])
+		}
+		dst, src, n = dst+k, src+k, n-k
+	}
+}
+
 // validSize reports whether size is 1, 2, 4, or 8.
 func validSize(size int) bool { return size > 0 && size <= 8 && size&(size-1) == 0 }
 

@@ -221,7 +221,7 @@ func TestMemoryMatchesReference(t *testing.T) {
 		// every element on the same recent-page slot.
 		strides := [3]uint64{uint64(size), uint64(size) + 3, recentPages * PageSize}
 		var op string
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			op = "WriteUint"
 			v := rng.Uint64()
@@ -262,6 +262,17 @@ func TestMemoryMatchesReference(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("step %d: ReadBytes(%#x, %d) differs from the reference", i, a, n)
 			}
+		case 5:
+			op = "Copy"
+			n := uint64(rng.Intn(2*PageSize + 16))
+			src := addr(1)
+			if a+n > src && src+n > a {
+				break // overlapping ranges are outside Copy's contract
+			}
+			m.Copy(a, src, n)
+			buf := make([]byte, n)
+			ref.ReadBytes(src, buf)
+			ref.WriteBytes(a, buf)
 		default:
 			op = "ReadUint"
 			if got, want := m.ReadUint(a, size), ref.ReadUint(a, size); got != want {

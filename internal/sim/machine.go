@@ -82,19 +82,15 @@ func (n *Node) LockedWriteElems(addr uint64, size int, step uint64, count int, s
 // acquisition, element by element in order — the same read-then-write
 // interleaving, and therefore the same overlap semantics, as a loop of
 // LockedRead/LockedWrite pairs. Contiguous ranges that do not overlap
-// cannot observe that order, so they move a block of bytes at a time.
+// cannot observe that order, so they move as bytes, page run by page
+// run.
 func (n *Node) LockedCopyElems(dest, src uint64, size int, destStep, srcStep uint64, count int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ram := n.Hier.RAM()
 	w := uint64(size)
 	if span := uint64(count) * w; destStep == w && srcStep == w && (dest+span <= src || src+span <= dest) {
-		var block [1024]byte
-		for off := uint64(0); off < span; off += uint64(len(block)) {
-			b := block[:min(span-off, uint64(len(block)))]
-			ram.ReadBytes(src+off, b)
-			ram.WriteBytes(dest+off, b)
-		}
+		ram.Copy(dest, src, span)
 		return
 	}
 	for i := 0; i < count; i++ {
