@@ -10,7 +10,7 @@ build:
 test:
 	$(GO) test ./...
 
-# internal/core alone takes ~10 minutes under the race detector on a
+# internal/core alone takes 10-12 minutes under the race detector on a
 # 2-core box, past go test's default per-binary timeout; the longer
 # timeout keeps every test in the run (no -short).
 race:
