@@ -8,9 +8,9 @@ import "xbgas/internal/mem"
 // one locked access per element — and the unsegmented trees keep them.
 // Chunked plans instead move contiguous payload the way a vectorised
 // memcpy would: one touch per 64-byte cache line and locked block
-// transfers through a bounded staging block, so the host prices a line,
-// not eight element accesses. Only stride-1 payload coalesces; strided
-// layouts stay on the element accessors.
+// transfers, so the host prices a line, not eight element accesses.
+// Only stride-1 payload coalesces; strided layouts stay on the element
+// accessors.
 
 // touchLines charges the hierarchy for a contiguous byte range at cache
 // line granularity and returns the total cycle cost including the
@@ -22,18 +22,19 @@ func (pe *PE) touchLines(addr, bytes uint64, write bool) uint64 {
 }
 
 // CopyChunk copies nelems contiguous elements of type dt from src to
-// dst through the timed hierarchy as line-granular bulk traffic.
-// Semantically it equals nelems ReadElem/WriteElem pairs for ranges
-// that do not partially overlap (the bytes move block by block through
-// the staging buffer); the cost model differs as described above.
+// dst through the timed hierarchy as line-granular bulk traffic. Its
+// bytes move as CopyElems moves them (sim.Node.LockedCopyElems), so it
+// equals nelems ReadElem/WriteElem pairs semantically, overlapping
+// ranges included; the cost model differs as described above.
 func (pe *PE) CopyChunk(dt DType, dst, src uint64, nelems int) {
 	if nelems <= 0 {
 		return
 	}
-	bytes := uint64(nelems) * uint64(dt.Width)
+	w := uint64(dt.Width)
+	bytes := uint64(nelems) * w
 	cost := pe.touchLines(src, bytes, false)
 	cost += pe.touchLines(dst, bytes, true)
-	pe.moveBytes(pe.node, dst, pe.node, src, bytes)
+	pe.node.LockedCopyElems(dst, src, dt.Width, w, w, nelems)
 	pe.Advance(cost)
 }
 

@@ -145,3 +145,48 @@ func TestCopyElemsMatchesElemLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyChunkMovesAsElemLoop pins CopyChunk's bytes (not its price,
+// which is line-granular) to the ReadElem/WriteElem loop: overlapping
+// ranges smear in element order, and disjoint ones, several staging
+// blocks long and onto fresh pages, land what the loop lands.
+func TestCopyChunkMovesAsElemLoop(t *testing.T) {
+	const region = 80 << 10
+	chunked, looped := MustNew(Config{NumPEs: 1}).PE(0), MustNew(Config{NumPEs: 1}).PE(0)
+	base, err := chunked.Malloc(3 * region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := looped.Malloc(3 * region); err != nil || b != base {
+		t.Fatalf("twin Malloc: %#x, %v; want %#x", b, err, base)
+	}
+	fill := make([]byte, region)
+	rand.New(rand.NewSource(33)).Read(fill)
+	chunked.PokeBytes(base, fill)
+	looped.PokeBytes(base, fill)
+	got, want := make([]byte, 3*region), make([]byte, 3*region)
+	for _, dt := range []DType{TypeUChar, TypeShort, TypeUInt, TypeLong} {
+		w := dt.Width
+		src := base + 40*uint64(w) + 3
+		type copyCase struct {
+			name string
+			dst  uint64
+			n    int
+		}
+		cases := []copyCase{{"disjoint, fresh pages", base + 2*region + 5, (region - 64) / w}}
+		for k := -3; k <= 3; k++ {
+			cases = append(cases, copyCase{fmt.Sprintf("overlap %+d", k), uint64(int64(src) + int64(k*w)), 300})
+		}
+		for _, c := range cases {
+			chunked.CopyChunk(dt, c.dst, src, c.n)
+			for i := 0; i < c.n; i++ {
+				looped.WriteElem(dt, c.dst+uint64(i*w), looped.ReadElem(dt, src+uint64(i*w)))
+			}
+			chunked.PeekBytes(base, got)
+			looped.PeekBytes(base, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s %s: CopyChunk's bytes differ from the element loop's", dt, c.name)
+			}
+		}
+	}
+}
