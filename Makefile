@@ -21,13 +21,16 @@ race:
 # BENCH_<date>[-<BENCH_TAG>].json (BENCH_TAG=pr12 names the ledger row
 # after its PR). The speedup columns compare against BENCH_BASELINE, a
 # previous raw output or BENCH_*.json; left empty, benchdiff picks the
-# newest checked-in BENCH_*.json.
+# newest checked-in BENCH_*.json. -p 1 runs one package's benchmark
+# binary at a time (side by side on a small box they slow each other
+# and a row's cells drift by up to 3x), and benchdiff keeps the median
+# of the three runs of each benchmark (~8 min in all).
 BENCH_DATE := $(shell date +%F)
 BENCH_BASELINE ?=
 BENCH_TAG ?=
 
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=1 ./... > bench_current.txt || (cat bench_current.txt; exit 1)
+	$(GO) test -p 1 -run '^$$' -bench=. -benchmem -count=3 ./... > bench_current.txt || (cat bench_current.txt; exit 1)
 	$(GO) run ./tools/benchdiff $(if $(BENCH_BASELINE),-old $(BENCH_BASELINE)) -new bench_current.txt -json BENCH_$(BENCH_DATE)$(if $(BENCH_TAG),-$(BENCH_TAG)).json
 
 # The repository benchmark (BENCHMARK.json, benchmarks/README.md): six

@@ -75,9 +75,11 @@ type Report struct {
 //	BenchmarkPutStream4096-8   598   415030 ns/op   78.95 MB/s   164 B/op   0 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped so runs from different hosts
-// compare by benchmark name.
+// compare by benchmark name. A benchmark run several times (-count)
+// is its median run by ns/op, the lower middle one for an even count,
+// so one run slowed by the host does not stand for the benchmark.
 func Parse(out []byte) (map[string]Bench, error) {
-	res := make(map[string]Bench)
+	runs := make(map[string][]Bench)
 	for _, line := range strings.Split(string(out), "\n") {
 		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -110,11 +112,16 @@ func Parse(out []byte) (map[string]Bench, error) {
 			}
 		}
 		if ok {
-			res[name] = b
+			runs[name] = append(runs[name], b)
 		}
 	}
-	if len(res) == 0 {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found")
+	}
+	res := make(map[string]Bench, len(runs))
+	for name, bs := range runs {
+		sort.SliceStable(bs, func(i, j int) bool { return bs[i].NsPerOp < bs[j].NsPerOp })
+		res[name] = bs[(len(bs)-1)/2]
 	}
 	return res, nil
 }

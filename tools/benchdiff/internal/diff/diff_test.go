@@ -41,6 +41,30 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseTakesMedianRun pins how repeated runs (-count) of one
+// benchmark collapse: to the median run by ns/op, its other fields
+// with it, and to the lower middle run for an even count.
+func TestParseTakesMedianRun(t *testing.T) {
+	const out = `BenchmarkGUPS8PE-2   3   30000000 ns/op   300 B/op   3 allocs/op
+BenchmarkGUPS8PE-2   3   10000000 ns/op   100 B/op   1 allocs/op
+BenchmarkGUPS8PE-2   3   20000000 ns/op   200 B/op   2 allocs/op
+BenchmarkPutElem-2   9   400 ns/op
+BenchmarkPutElem-2   9   100 ns/op
+BenchmarkPutElem-2   9   300 ns/op
+BenchmarkPutElem-2   9   200 ns/op
+`
+	got, err := Parse([]byte(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := got["BenchmarkGUPS8PE"]; b.NsPerOp != 20000000 || b.BPerOp != 200 || b.AllocsOp != 2 {
+		t.Errorf("odd count: %+v, want the 20 ms run", b)
+	}
+	if b := got["BenchmarkPutElem"]; b.NsPerOp != 200 {
+		t.Errorf("even count: %v ns/op, want the lower middle run, 200", b.NsPerOp)
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := Parse([]byte("no benchmarks here\n")); err == nil {
 		t.Fatal("want error for output without benchmark lines")
