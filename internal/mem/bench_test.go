@@ -40,6 +40,28 @@ func BenchmarkTouchRangeSeq(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N)/lines, "simCycles/line")
 }
 
+// BenchmarkTouchRangeElems is the element stream's shape (a put or get
+// of 8-byte elements priced in one TouchRange call): a 1 MiB stride-1
+// stream, one touch per element, rotating over 8 hierarchies as
+// BenchmarkTouchRangeSeq does. One op is one stream.
+func BenchmarkTouchRangeElems(b *testing.B) {
+	const elems = benchSweep / 8
+	var hs [8]*Hierarchy
+	for i := range hs {
+		hs[i] = MustHierarchy(DefaultConfig())
+		hs[i].TouchRange(benchBase, 8, 8, elems, false, nil)
+	}
+	var cycles uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycles += hs[i%len(hs)].TouchRange(benchBase, 8, 8, elems, i&1 == 1, nil)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
+	b.ReportMetric(float64(cycles)/float64(b.N)/elems, "simCycles/elem")
+}
+
 // BenchmarkTouchCopy is the element path's PE-local copy shape (the
 // binomial scatter/gather staging copies): a 1 MiB stride-1 copy of
 // 8-byte elements, a read and a write touch per element, rotating over
