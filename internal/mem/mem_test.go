@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -886,5 +887,159 @@ func TestTouchCopyMatchesTouch(t *testing.T) {
 
 	if h := MustHierarchy(DefaultConfig()); h.TouchCopy(0, 64, 0, 8, 8, 4) != 0 || h.TouchCopy(0, 64, 8, 8, 8, 0) != 0 || h.Accesses() != 0 {
 		t.Error("empty TouchCopy must cost nothing and count nothing")
+	}
+}
+
+// rangeCall is one TouchRange call.
+type rangeCall struct {
+	addr  uint64
+	size  int
+	step  uint64
+	n     int
+	write bool
+}
+
+// tlbOrder returns the TLB's resident pages, most recently used first.
+func tlbOrder(h *Hierarchy) []uint64 {
+	s := &h.tlb.pages
+	head := int32(s.Cap())
+	var pages []uint64
+	for at := s.slots[head].next; at != head; at = s.slots[at].next {
+		pages = append(pages, s.slots[at].key)
+	}
+	return pages
+}
+
+// checkTouchRange runs the same random prior trace on twin hierarchies
+// — dirtying every line of the call first when dirty is set — then c
+// through TouchRange on one and as n Touch calls on the other. It
+// compares every per-access cost, the total and every counter, then
+// both caches' set words and the TLB's recency order, and finally the
+// costs of one random probe trace replayed on both.
+func checkTouchRange(t *testing.T, name string, cfg Config, c rangeCall, dirty bool, rng *rand.Rand) {
+	t.Helper()
+	ranged, single := MustHierarchy(cfg), MustHierarchy(cfg)
+	end := c.addr + uint64(c.n-1)*c.step + uint64(c.size)
+	lo := c.addr - min(c.addr, 2*PageSize)
+	span := int(end + 2*PageSize - lo)
+	both := func(addr uint64, size int, write bool) {
+		ranged.Touch(addr, size, write)
+		single.Touch(addr, size, write)
+	}
+	if dirty {
+		for a := c.addr &^ (LineSize - 1); a < end; a += LineSize {
+			both(a, 1, true)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		both(lo+uint64(rng.Intn(span)), 1<<rng.Intn(4), rng.Intn(2) == 0)
+	}
+
+	costs := make([]uint64, c.n)
+	total := ranged.TouchRange(c.addr, c.size, c.step, c.n, c.write, costs)
+	var want uint64
+	for i := 0; i < c.n; i++ {
+		cost := single.Touch(c.addr+uint64(i)*c.step, c.size, c.write)
+		if costs[i] != cost {
+			t.Fatalf("%s: %+v: cost[%d] = %d, Touch %d", name, c, i, costs[i], cost)
+		}
+		want += cost
+	}
+	if total != want {
+		t.Fatalf("%s: %+v: total %d, sum of Touch %d", name, c, total, want)
+	}
+	if got, want := readHierState(ranged), readHierState(single); got != want {
+		t.Fatalf("%s: %+v:\nTouchRange %+v\nTouch loop %+v", name, c, got, want)
+	}
+	if !slices.Equal(ranged.l1.words, single.l1.words) || !slices.Equal(ranged.l2.words, single.l2.words) {
+		t.Fatalf("%s: %+v: cache sets differ from the Touch loop's", name, c)
+	}
+	if got, want := tlbOrder(ranged), tlbOrder(single); !slices.Equal(got, want) {
+		t.Fatalf("%s: %+v: TLB pages %v, Touch loop %v", name, c, got, want)
+	}
+	for i := 0; i < 1000; i++ {
+		addr, size, write := lo+uint64(rng.Intn(span)), 1<<rng.Intn(4), rng.Intn(2) == 0
+		if got, want := ranged.Touch(addr, size, write), single.Touch(addr, size, write); got != want {
+			t.Fatalf("%s: %+v: probe %d (%#x, %d, %v): cost %d, twin %d", name, c, i, addr, size, write, got, want)
+		}
+	}
+	if got, want := readHierState(ranged), readHierState(single); got != want {
+		t.Fatalf("%s: %+v: after the probe trace:\nTouchRange %+v\nTouch loop %+v", name, c, got, want)
+	}
+}
+
+// TestTouchRangeStateMatchesTouch: TouchRange leaves the TLB, both
+// caches and the prefetcher exactly as n Touch calls do, not only the
+// same counters — around the sweep path's switch from probing to
+// settling L1 (sets·ways lines), across pages, over dirty lines, and
+// for element streams whose same-line accesses are counted.
+func TestTouchRangeStateMatchesTouch(t *testing.T) {
+	geom := func(tlb, l1Ways, l1Sets, l2Ways, l2Sets int) Config {
+		return Config{TLBEntries: tlb,
+			L1Size: l1Ways * l1Sets * LineSize, L1Ways: l1Ways,
+			L2Size: l2Ways * l2Sets * LineSize, L2Ways: l2Ways,
+			L1Latency: 2, L2Latency: 18, MemLatency: 200, TLBMissCost: 60}
+	}
+	geometries := []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper", DefaultConfig()},
+		{"1-way L1 of 3 sets, TLB 1", geom(1, 1, 3, 2, 5)},
+		{"2-way L1 of 1 set, TLB 1", geom(1, 2, 1, 1, 7)},
+		{"2-way L1 of 5 sets, TLB 2", geom(2, 2, 5, 4, 24)},
+		{"8-way L1 of 6 sets, TLB 256", geom(256, 8, 6, 2, 40)},
+	}
+	const base = 0x10000
+	for _, g := range geometries {
+		sw := g.cfg.L1Size / LineSize // sets·ways
+		sweep := func(addr uint64, n int, write bool) rangeCall {
+			return rangeCall{addr, LineSize, LineSize, n, write}
+		}
+		type namedCall struct {
+			name  string
+			c     rangeCall
+			dirty bool
+		}
+		calls := []namedCall{
+			{"sweep of sets·ways-1 lines", sweep(base, sw-1, false), false},
+			{"sweep of sets·ways lines", sweep(base, sw, true), false},
+			{"sweep of sets·ways+1 lines", sweep(base, sw+1, false), false},
+			{"sweep of 4·sets·ways lines", sweep(base, 4*sw, true), false},
+			{"sweep starting mid-page", sweep(base+PageSize/2+LineSize, 4*sw+PageSize/LineSize, false), false},
+			{"read sweep over dirty lines", sweep(base, sw+sw/2+1, false), true},
+			{"write sweep over dirty lines", sweep(base, 4*sw+3, true), true},
+		}
+		for _, step := range []uint64{0, 1, 8, 24, 72} {
+			for _, size := range []int{1, 4, 8} {
+				calls = append(calls, namedCall{fmt.Sprintf("%d-byte elements, step %d", size, step),
+					rangeCall{base + 5, size, step, 400, step%16 == 8}, step == 8})
+			}
+		}
+		for _, prefetch := range []bool{false, true} {
+			cfg := g.cfg
+			cfg.Prefetch = prefetch
+			for _, nc := range calls {
+				checkTouchRange(t, fmt.Sprintf("%s, %s, prefetch=%v", g.name, nc.name, prefetch),
+					cfg, nc.c, nc.dirty, rand.New(rand.NewSource(37)))
+			}
+		}
+	}
+
+	// Random geometries and calls: line sweeps around sets·ways and
+	// element streams of every size and step, over warm, dirty state.
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 600; trial++ {
+		ways := []int{1, 2, 3, 4, 8}[rng.Intn(5)]
+		sets := []int{1, 2, 3, 5, 8, 32}[rng.Intn(6)]
+		cfg := geom([]int{1, 2, 4, 256}[rng.Intn(4)], ways, sets, []int{1, 2, 4}[rng.Intn(3)], 1+rng.Intn(64))
+		cfg.Prefetch = rng.Intn(2) == 0
+		var c rangeCall
+		if rng.Intn(2) == 0 {
+			c = rangeCall{uint64(rng.Intn(6*PageSize)) &^ (LineSize - 1), LineSize, LineSize, 1 + rng.Intn(5*ways*sets), rng.Intn(2) == 0}
+		} else {
+			c = rangeCall{uint64(rng.Intn(6 * PageSize)), []int{1, 2, 4, 8, LineSize}[rng.Intn(5)], uint64(rng.Intn(3 * LineSize)), 1 + rng.Intn(400), rng.Intn(2) == 0}
+		}
+		checkTouchRange(t, fmt.Sprintf("trial %d (%+v)", trial, cfg), cfg, c, rng.Intn(2) == 0, rng)
 	}
 }
