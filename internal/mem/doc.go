@@ -15,4 +15,13 @@
 // the runtime and the benchmarks; the absolute latencies are nominal
 // (Config documents them), but the capacity and associativity behaviour
 // follows the paper's configuration exactly.
+//
+// Hierarchy.TouchRange and Hierarchy.TouchCopy price a whole access
+// stream in one call. Each returns the costs, and leaves the counters
+// and the TLB, cache and prefetcher state, of the equivalent loop of
+// Touch calls, but counts the accesses whose outcome that state already
+// fixes instead of probing them: an access in the line (and page) just
+// touched, and in a line sweep every line of a page after the first
+// (the TLB) and every line after the sweep's first sets·ways (L1,
+// settled per set by Cache.settle).
 package mem
