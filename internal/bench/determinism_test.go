@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"xbgas/internal/core"
 	"xbgas/internal/xbrtime"
 )
 
@@ -87,6 +88,42 @@ func TestDeterministicCollectiveReproducible(t *testing.T) {
 				t.Fatalf("barrier=%v rep %d diverged: got %+v want %+v",
 					algo, rep, keyOf(r), keyOf(first))
 			}
+		}
+	}
+}
+
+// TestISLockstepPinned pins NAS IS's simulated numbers in lockstep
+// mode, with uniform and Gaussian keys on 1, 2 and 8 PEs, to the
+// values the kernel's ReadElem/WriteElem loops produced. A host-only
+// change to the kernel's local accesses (one call per read-modify-write,
+// a timed range read) must leave every field as it is. The 8-PE
+// uniform row under the kernel's default algorithm is the is_8pe
+// workload's sim_cycles_per_op; the row under auto takes the combine
+// steps of the plans auto picks.
+func TestISLockstepPinned(t *testing.T) {
+	for _, c := range []struct {
+		pes      int
+		gaussian bool
+		algo     core.Algorithm
+		want     detKey
+	}{
+		{1, false, "", detKey{Cycles: 22302557, Ops: 196608, Errors: 0, Messages: 0, Bytes: 0, ContentionCycles: 0}},
+		{1, true, "", detKey{Cycles: 20299913, Ops: 196608, Errors: 0, Messages: 0, Bytes: 0, ContentionCycles: 0}},
+		{2, false, "", detKey{Cycles: 10774308, Ops: 196608, Errors: 0, Messages: 98039, Bytes: 1567984, ContentionCycles: 1589101}},
+		{2, true, "", detKey{Cycles: 10195507, Ops: 196608, Errors: 0, Messages: 98042, Bytes: 1568032, ContentionCycles: 1573586}},
+		{8, false, "", detKey{Cycles: 4409098, Ops: 196608, Errors: 0, Messages: 174726, Bytes: 2782272, ContentionCycles: 30822603}},
+		{8, true, "", detKey{Cycles: 5874982, Ops: 196608, Errors: 0, Messages: 175374, Bytes: 2792640, ContentionCycles: 30739684}},
+		{8, false, core.AlgoAuto, detKey{Cycles: 4394666, Ops: 196608, Errors: 0, Messages: 173142, Bytes: 2769600, ContentionCycles: 30630173}},
+	} {
+		p := DefaultISParams()
+		p.GaussianKeys, p.Algo = c.gaussian, c.algo
+		p.Runtime.Deterministic = true
+		r, err := RunIS(p, c.pes)
+		if err != nil {
+			t.Fatalf("%d PEs, gaussian=%v, algo %s: %v", c.pes, c.gaussian, p.Algo, err)
+		}
+		if got := keyOf(r); got != c.want {
+			t.Errorf("%d PEs, gaussian=%v, algo %s: %+v, want %+v", c.pes, c.gaussian, p.Algo, got, c.want)
 		}
 	}
 }
