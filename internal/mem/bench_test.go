@@ -71,13 +71,13 @@ func BenchmarkTouchCopy(b *testing.B) {
 	var hs [8]*Hierarchy
 	for i := range hs {
 		hs[i] = MustHierarchy(DefaultConfig())
-		hs[i].TouchCopy(benchBase+benchSweep, benchBase, 8, 8, 8, elems)
+		hs[i].TouchCopy(benchBase+benchSweep, benchBase, 8, 8, 8, elems, false)
 	}
 	var cycles uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cycles += hs[i%len(hs)].TouchCopy(benchBase+benchSweep, benchBase, 8, 8, 8, elems)
+		cycles += hs[i%len(hs)].TouchCopy(benchBase+benchSweep, benchBase, 8, 8, 8, elems, false)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")

@@ -115,6 +115,12 @@ func (c *Cache) access(lineAddr uint64, write bool) (hit bool) {
 	return false
 }
 
+// dirtyFront marks line dirty; it must be the most recently used line
+// of its set, as after an access to it.
+func (c *Cache) dirtyFront(line uint64) {
+	c.words[int(c.set(line))*c.ways] |= 1
+}
+
 // settle finishes a sweep over the lines first, first+1, ...,
 // first+n-1 whose first sets·ways lines, and only those, have been
 // probed with access; n must exceed sets·ways. Consecutive lines cycle

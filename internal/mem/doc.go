@@ -17,11 +17,16 @@
 // follows the paper's configuration exactly.
 //
 // Hierarchy.TouchRange and Hierarchy.TouchCopy price a whole access
-// stream in one call. Each returns the costs, and leaves the counters
-// and the TLB, cache and prefetcher state, of the equivalent loop of
-// Touch calls, but counts the accesses whose outcome that state already
-// fixes instead of probing them: an access in the line (and page) just
-// touched, and in a line sweep every line of a page after the first
-// (the TLB) and every line after the sweep's first sets·ways (L1,
-// settled per set by Cache.settle).
+// stream in one call: TouchRange n accesses of one kind, TouchCopy an
+// element copy (read src, write dst), a read-modify-write (the copy
+// with dst == src) or an element combine (read dst, read src, write
+// dst). Each returns the costs, and leaves the counters and the TLB,
+// cache and prefetcher state, of the equivalent loop of Touch calls,
+// but counts the accesses whose outcome that state already fixes
+// instead of probing them: an access in the line (and page) of the
+// access just made, which issued no prefetch — a counted write marks
+// the line dirty, as its probe would —, a copy or combine group on the
+// lines of the group before it, and in a line sweep every line of a
+// page after the first (the TLB) and every line after the sweep's
+// first sets·ways (L1, settled per set by Cache.settle).
 package mem

@@ -258,44 +258,96 @@ func (h *Hierarchy) countHits(k uint64) uint64 {
 	return c
 }
 
-// TouchCopy charges the cycle cost of an n-element copy: for i in
-// [0, n), a size-byte read at src+i·srcStep and then a size-byte write
-// at dst+i·dstStep. Its total, its counters and the TLB, cache and
-// prefetcher state it leaves are exactly those of that loop of 2n Touch
-// calls.
+// TouchCopy charges the cycle cost of an n-element copy, or with
+// readDst of an n-element combine: for i in [0, n), a size-byte read at
+// dst+i·dstStep when readDst is set, a size-byte read at src+i·srcStep,
+// and then a size-byte write at dst+i·dstStep. With dst == src and
+// equal steps a copy is a read-modify-write of each element. Its total,
+// its counters and the TLB, cache and prefetcher state it leaves are
+// exactly those of that loop of 2n (3n) Touch calls.
 //
-// A pair whose read and write start and end in the lines of the pair
-// before it is counted, not probed: two TLB hits, two L1 hits, two L1
-// latencies. That is exact once one full pair on those lines has left
-// them resident with a recency order the repeat restores (see
-// foldable): the repeat moves the source page and line to the front,
-// then the destination's, which is where the full pair left them, and
-// a hit neither feeds the prefetcher nor reaches L2.
-func (h *Hierarchy) TouchCopy(dst, src uint64, size int, dstStep, srcStep uint64, n int) uint64 {
+// Two kinds of access are counted, not probed, each as a TLB hit and
+// an L1 hit at one L1 latency:
+//   - An access that lies wholly in the line of the access just before
+//     it, which lay in one line and issued no prefetch (touchAfter): it
+//     hits the TLB's most recent page and the line at the front of its
+//     L1 set, changes no recency order and, if it is a write, marks
+//     that line dirty. The write of a read-modify-write is one.
+//   - A group (pair, or triple with readDst) whose accesses start and
+//     end in the lines of the group before it. That is exact once one
+//     full group on those lines has left them resident with a recency
+//     order the repeat restores (see foldable): the repeat moves the
+//     source page and line to the front, then the destination's, which
+//     is where the full group left them, and a hit neither feeds the
+//     prefetcher nor reaches L2.
+func (h *Hierarchy) TouchCopy(dst, src uint64, size int, dstStep, srcStep uint64, n int, readDst bool) uint64 {
 	if size <= 0 || n <= 0 {
 		return 0
 	}
-	var total uint64
+	group := uint64(2)
+	if readDst {
+		group = 3
+	}
+	var total, c uint64
+	last := uint64(noLine)
 	for i := 0; i < n; i++ {
 		s, d := src+uint64(i)*srcStep, dst+uint64(i)*dstStep
 		pf := h.prefetches
-		total += h.Touch(s, size, false) + h.Touch(d, size, true)
+		if readDst {
+			c, last = h.touchAfter(last, d, size, false)
+			total += c
+		}
+		c, last = h.touchAfter(last, s, size, false)
+		total += c
+		c, last = h.touchAfter(last, d, size, true)
+		total += c
 		if i+1 == n || h.prefetches != pf || !h.foldable(s, d, size) {
 			continue
 		}
 		k := min(lineRun(s, size, srcStep), lineRun(d, size, dstStep), uint64(n-1-i))
-		total += h.countHits(2 * k)
+		total += h.countHits(group * k)
 		i += int(k)
 	}
 	return total
 }
 
-// foldable reports whether repeating the read of [s, s+size) and the
-// write of [d, d+size) just issued would hit twice and leave every
-// recency order as it is: each access lies in one line, and neither
-// the destination's page nor its line can have evicted the source's —
-// the TLB holds two pages or both are one page, and L1 holds two ways
-// or the lines are one line or sit in different sets.
+// noLine stands for "no line" where a line number is expected: a line
+// is an address over LineSize and never reaches it.
+const noLine = math.MaxUint64
+
+// touchAfter is Touch(a, size, write) for an access that follows one
+// lying wholly in line last and issuing no prefetch (last is noLine if
+// the access before did not). An access lying wholly in that line is
+// counted through countHits; a write also dirties the line, the front
+// of its L1 set. It returns the cost and the line to pass with the
+// next access.
+func (h *Hierarchy) touchAfter(last, a uint64, size int, write bool) (cost, line uint64) {
+	line = a / LineSize
+	if (a+uint64(size)-1)/LineSize != line {
+		return h.Touch(a, size, write), noLine
+	}
+	if line == last {
+		if write {
+			h.l1.dirtyFront(line)
+		}
+		return h.countHits(1), line
+	}
+	pf := h.prefetches
+	if cost = h.Touch(a, size, write); h.prefetches != pf {
+		line = noLine
+	}
+	return cost, line
+}
+
+// foldable reports whether repeating the group just issued — the read
+// of [s, s+size) and the write of [d, d+size), after a read of the
+// destination in a combine — would hit at every access and leave every
+// recency order as it is: each access lies in one line, and neither the
+// destination's page nor its line can have evicted the source's — the
+// TLB holds two pages or both are one page, and L1 holds two ways or
+// the lines are one line or sit in different sets. A combine's leading
+// read of the destination hits where the full group's write left it,
+// at the front.
 func (h *Hierarchy) foldable(s, d uint64, size int) bool {
 	span := uint64(size) - 1
 	sl, dl := s/LineSize, d/LineSize

@@ -780,9 +780,12 @@ type copyCall struct {
 }
 
 // touchCopyLoop is TouchCopy's definition: a read and a write Touch per
-// element.
-func touchCopyLoop(h *Hierarchy, c copyCall) (total uint64) {
+// element, after a read of the destination when readDst is set.
+func touchCopyLoop(h *Hierarchy, c copyCall, readDst bool) (total uint64) {
 	for i := 0; i < c.n; i++ {
+		if readDst {
+			total += h.Touch(c.dst+uint64(i)*c.dstStep, c.size, false)
+		}
 		total += h.Touch(c.src+uint64(i)*c.srcStep, c.size, false)
 		total += h.Touch(c.dst+uint64(i)*c.dstStep, c.size, true)
 	}
@@ -790,18 +793,26 @@ func touchCopyLoop(h *Hierarchy, c copyCall) (total uint64) {
 }
 
 // checkTouchCopy issues calls through TouchCopy on one hierarchy and
-// through the Touch loop on a twin, then compares every total and
-// counter, and finally the costs of a random probe trace run on both,
-// which differ if any TLB, cache or prefetcher state does.
-func checkTouchCopy(t *testing.T, name string, cfg Config, calls []copyCall, rng *rand.Rand) {
+// through the Touch loop on a twin, as copies or, with readDst, as
+// combines, then compares every total and counter, both caches' set
+// words and the TLB's recency order, and finally the costs of a random
+// probe trace run on both, which differ if any TLB, cache or
+// prefetcher state does.
+func checkTouchCopy(t *testing.T, name string, cfg Config, calls []copyCall, readDst bool, rng *rand.Rand) {
 	t.Helper()
 	folded, looped := MustHierarchy(cfg), MustHierarchy(cfg)
 	for k, c := range calls {
-		if got, want := folded.TouchCopy(c.dst, c.src, c.size, c.dstStep, c.srcStep, c.n), touchCopyLoop(looped, c); got != want {
+		if got, want := folded.TouchCopy(c.dst, c.src, c.size, c.dstStep, c.srcStep, c.n, readDst), touchCopyLoop(looped, c, readDst); got != want {
 			t.Fatalf("%s: call %d %+v: TouchCopy %d, Touch loop %d", name, k, c, got, want)
 		}
 		if got, want := readHierState(folded), readHierState(looped); got != want {
 			t.Fatalf("%s: after call %d %+v:\nTouchCopy  %+v\nTouch loop %+v", name, k, c, got, want)
+		}
+		if !slices.Equal(folded.l1.words, looped.l1.words) || !slices.Equal(folded.l2.words, looped.l2.words) {
+			t.Fatalf("%s: after call %d %+v: cache sets differ from the Touch loop's", name, k, c)
+		}
+		if got, want := tlbOrder(folded), tlbOrder(looped); !slices.Equal(got, want) {
+			t.Fatalf("%s: after call %d %+v: TLB pages %v, Touch loop %v", name, k, c, got, want)
 		}
 	}
 	for i := 0; i < 2000; i++ {
@@ -845,7 +856,60 @@ func TestTouchCopyMatchesTouch(t *testing.T) {
 		for _, tc := range named {
 			cfg := tc.cfg
 			cfg.Prefetch = prefetch
-			checkTouchCopy(t, fmt.Sprintf("%s, prefetch=%v", tc.name, prefetch), cfg, []copyCall{tc.c, tc.c}, rand.New(rand.NewSource(1)))
+			for _, readDst := range []bool{false, true} {
+				checkTouchCopy(t, fmt.Sprintf("%s, prefetch=%v, readDst=%v", tc.name, prefetch, readDst), cfg, []copyCall{tc.c, tc.c}, readDst, rand.New(rand.NewSource(1)))
+			}
+		}
+	}
+
+	// Writes that follow a read of their own line — read-modify-writes
+	// (dst == src) and writes beside the read — and elements that
+	// straddle lines, as copies and combines, on geometries where the
+	// line a read just left at the front of its set can be pushed back
+	// by a prefetch (one set) or evicted by it (one way), and where the
+	// TLB holds one page.
+	geom := func(tlb, l1Ways, l1Sets int) Config {
+		return Config{TLBEntries: tlb, L1Size: l1Ways * l1Sets * LineSize, L1Ways: l1Ways,
+			L2Size: 4 * 16 * LineSize, L2Ways: 4,
+			L1Latency: 2, L2Latency: 18, MemLatency: 200, TLBMissCost: 60}
+	}
+	geometries := []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper", DefaultConfig()},
+		{"1-way L1 of 4 sets, TLB 1", geom(1, 1, 4)},
+		{"2-way L1 of 1 set, TLB 2", geom(2, 2, 1)},
+		{"1-way L1 of 1 set, TLB 1", geom(1, 1, 1)},
+	}
+	const base = 0x10000
+	scatter := rand.New(rand.NewSource(38))
+	updates := make([]copyCall, 200) // IS's ranking loop: one element at a time, anywhere in a page
+	for k := range updates {
+		a := base + uint64(scatter.Intn(PageSize/8))*8
+		updates[k] = copyCall{a, a, 8, 0, 0, 1}
+	}
+	rmw := []struct {
+		name  string
+		calls []copyCall
+	}{
+		{"read-modify-write of single elements", updates},
+		{"read-modify-write, stride 1", []copyCall{{base, base, 8, 8, 8, 600}}},
+		{"read-modify-write, one element per line", []copyCall{{base + 8, base + 8, 8, LineSize, LineSize, 300}}},
+		{"write beside the read in its line", []copyCall{{base + 8, base, 8, LineSize, LineSize, 300}}},
+		{"write straddling out of the read's line", []copyCall{{base + LineSize - 4, base + LineSize - 8, 8, LineSize, LineSize, 100}}},
+		{"read-modify-write of line-straddling elements", []copyCall{{base + LineSize - 4, base + LineSize - 4, 8, LineSize, LineSize, 100}}},
+		{"source in the destination's line", []copyCall{{base, base + 32, 8, 8, 8, 400}}},
+	}
+	for _, g := range geometries {
+		for _, prefetch := range []bool{false, true} {
+			cfg := g.cfg
+			cfg.Prefetch = prefetch
+			for _, tc := range rmw {
+				for _, readDst := range []bool{false, true} {
+					checkTouchCopy(t, fmt.Sprintf("%s, %s, prefetch=%v, readDst=%v", tc.name, g.name, prefetch, readDst), cfg, tc.calls, readDst, rand.New(rand.NewSource(1)))
+				}
+			}
 		}
 	}
 
@@ -882,10 +946,11 @@ func TestTouchCopyMatchesTouch(t *testing.T) {
 			}
 			calls[k] = c
 		}
-		checkTouchCopy(t, fmt.Sprintf("trial %d (%+v)", trial, cfg), cfg, calls, rng)
+		checkTouchCopy(t, fmt.Sprintf("trial %d (%+v)", trial, cfg), cfg, calls, false, rng)
+		checkTouchCopy(t, fmt.Sprintf("trial %d (%+v), readDst", trial, cfg), cfg, calls, true, rand.New(rand.NewSource(int64(trial))))
 	}
 
-	if h := MustHierarchy(DefaultConfig()); h.TouchCopy(0, 64, 0, 8, 8, 4) != 0 || h.TouchCopy(0, 64, 8, 8, 8, 0) != 0 || h.Accesses() != 0 {
+	if h := MustHierarchy(DefaultConfig()); h.TouchCopy(0, 64, 0, 8, 8, 4, false) != 0 || h.TouchCopy(0, 64, 8, 8, 8, 0, true) != 0 || h.Accesses() != 0 {
 		t.Error("empty TouchCopy must cost nothing and count nothing")
 	}
 }
