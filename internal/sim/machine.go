@@ -98,6 +98,30 @@ func (n *Node) LockedCopyElems(dest, src uint64, size int, destStep, srcStep uin
 	}
 }
 
+// LockedUpdate rewrites count size-byte elements under one acquisition
+// of the node's memory lock: for i in [0, count), in element order, the
+// element x at dest+i·destStep becomes f(x, y), where y is the element
+// at src+i·srcStep, both raw — the interleaving, and therefore the
+// overlap semantics, of a loop that reads x, reads y and writes the
+// result. Where src+i·srcStep is dest+i·destStep, y is x: each element
+// is read once and written once, a read-modify-write. Only the low size
+// bytes of f's result are stored. f runs under the lock, so it must not
+// access this node's memory.
+func (n *Node) LockedUpdate(dest, src uint64, size int, destStep, srcStep uint64, count int, f func(x, y uint64) uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	ram := n.Hier.RAM()
+	for i := 0; i < count; i++ {
+		d, s := dest+uint64(i)*destStep, src+uint64(i)*srcStep
+		x := ram.ReadUint(d, size)
+		y := x
+		if s != d {
+			y = ram.ReadUint(s, size)
+		}
+		ram.WriteUint(d, size, f(x, y))
+	}
+}
+
 // LockedReadBytes copies len(dst) bytes from addr under the memory lock.
 func (n *Node) LockedReadBytes(addr uint64, dst []byte) {
 	n.mu.Lock()
