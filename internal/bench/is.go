@@ -124,6 +124,7 @@ func RunIS(p ISParams, nPEs int) (Result, error) {
 			return err
 		}
 
+		inc := func(v uint64) uint64 { return v + 1 }
 		ones := make([]int, nPEs)
 		seq := make([]int, nPEs)
 		blockDisp := make([]int, nPEs)
@@ -162,14 +163,15 @@ func RunIS(p ISParams, nPEs int) (Result, error) {
 
 		for iter := 0; iter < p.Iterations; iter++ {
 			// Phase 1: timed local histogram of keys per destination
-			// bucket (one bucket per PE, contiguous key ranges).
+			// bucket (one bucket per PE, contiguous key ranges). The
+			// keys are read, in one timed range read, back into the
+			// buffer they were generated in.
 			counts := make([]int, nPEs)
-			for i := 0; i < keysPerPE; i++ {
-				k := int(int64(pe.ReadElem(dt, keys+uint64(i)*w)))
-				b := k / rangePerPE
-				counts[b]++
-				pe.Advance(2) // divide-and-count bookkeeping
+			pe.ReadElems(dt, keys, initial)
+			for _, k := range initial {
+				counts[int(int64(k))/rangePerPE]++
 			}
+			pe.Advance(2 * uint64(keysPerPE)) // divide-and-count bookkeeping
 			for b := 0; b < nPEs; b++ {
 				pe.WriteElem(dt, hist+uint64(b)*w, uint64(int64(counts[b])))
 			}
@@ -266,20 +268,18 @@ func RunIS(p ISParams, nPEs int) (Result, error) {
 					oor++
 					continue
 				}
-				r := k - lo
-				c := pe.ReadElem(dt, ranked+uint64(r)*w)
-				pe.WriteElem(dt, ranked+uint64(r)*w, c+1)
+				pe.UpdateElem(dt, ranked+uint64(k-lo)*w, inc)
 				pe.Advance(1)
 			}
 			// Prefix-sum the counts into rank offsets (NPB IS computes
 			// the key ranks, not just the histogram).
 			acc := uint64(0)
-			for r := 0; r < rangePerPE; r++ {
-				c := pe.ReadElem(dt, ranked+uint64(r)*w)
-				pe.WriteElem(dt, ranked+uint64(r)*w, acc)
+			pe.UpdateElems(dt, ranked, rangePerPE, func(c uint64) uint64 {
+				off := acc
 				acc += c
-				pe.Advance(1)
-			}
+				return off
+			})
+			pe.Advance(uint64(rangePerPE))
 			// Phase 5: rank assignment — every received key is read
 			// again and its rank written back next to it.
 			for i := 0; i < myTotal; i++ {
@@ -287,18 +287,13 @@ func RunIS(p ISParams, nPEs int) (Result, error) {
 				if k < lo || k >= lo+rangePerPE {
 					continue
 				}
-				r := k - lo
-				rank := pe.ReadElem(dt, ranked+uint64(r)*w)
-				pe.WriteElem(dt, ranked+uint64(r)*w, rank+1)
+				rank := pe.UpdateElem(dt, ranked+uint64(k-lo)*w, inc)
 				pe.WriteElem(dt, recv+uint64(i)*w, uint64(k)|(rank<<32))
 				pe.Advance(2)
 			}
 			// Undo the in-place rank tagging so the next iteration (and
 			// verification) sees clean keys.
-			for i := 0; i < myTotal; i++ {
-				k := pe.ReadElem(dt, recv+uint64(i)*w) & 0xFFFFFFFF
-				pe.WriteElem(dt, recv+uint64(i)*w, k)
-			}
+			pe.UpdateElems(dt, recv, myTotal, func(v uint64) uint64 { return v & 0xFFFFFFFF })
 
 			errCount += uint64(oor)
 			if p.Verify {
