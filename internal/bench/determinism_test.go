@@ -127,3 +127,34 @@ func TestISLockstepPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestGUPSLockstepPinned pins GUPS's simulated numbers in lockstep mode
+// on 1, 2 and 8 PEs under the default parameters. A host-only change to
+// the kernel's local read-modify-writes or to the put/get path it
+// issues must leave every field as it is. The 8-PE row under the
+// kernel's default algorithm is the gups_8pe workload's
+// sim_cycles_per_op; the row under auto takes the seed broadcast auto
+// picks.
+func TestGUPSLockstepPinned(t *testing.T) {
+	for _, c := range []struct {
+		pes  int
+		algo core.Algorithm
+		want detKey
+	}{
+		{1, "", detKey{Cycles: 583564, Ops: 2048, Errors: 0, Messages: 0, Bytes: 0, ContentionCycles: 0}},
+		{2, "", detKey{Cycles: 370029, Ops: 4096, Errors: 0, Messages: 11949, Bytes: 127408, ContentionCycles: 18975}},
+		{8, "", detKey{Cycles: 538647, Ops: 16384, Errors: 2, Messages: 86007, Bytes: 916848, ContentionCycles: 24430457}},
+		{8, core.AlgoAuto, detKey{Cycles: 538756, Ops: 16384, Errors: 2, Messages: 85979, Bytes: 916624, ContentionCycles: 24574973}},
+	} {
+		p := DefaultGUPSParams()
+		p.Algo = c.algo
+		p.Runtime.Deterministic = true
+		r, err := RunGUPS(p, c.pes)
+		if err != nil {
+			t.Fatalf("%d PEs, algo %s: %v", c.pes, p.Algo, err)
+		}
+		if got := keyOf(r); got != c.want {
+			t.Errorf("%d PEs, algo %s: %+v, want %+v", c.pes, p.Algo, got, c.want)
+		}
+	}
+}

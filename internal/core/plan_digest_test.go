@@ -21,18 +21,17 @@ func planDigest(p *Plan) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", *p))))
 }
 
-// planGrid compiles the whole grid through the public compile entry
+// walkPlanGrid compiles the whole grid through the public compile entry
 // points (so aliased unsegmented fallbacks and flat-shape fallbacks are
-// pinned too) and returns the digest lines in grid order.
-func planGrid(t *testing.T) []string {
+// covered too) and visits each plan with its key, in grid order.
+func walkPlanGrid(t *testing.T, visit func(p *Plan, key string)) {
 	t.Helper()
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17, 24, 32, 48, 64, 96}
-	var lines []string
 	add := func(p *Plan, err error, key string) {
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		lines = append(lines, planDigest(p)+"  "+key)
+		visit(p, key)
 	}
 	for _, name := range PlannerNames() {
 		algo := Algorithm(name)
@@ -56,7 +55,40 @@ func planGrid(t *testing.T) []string {
 			}
 		}
 	}
+}
+
+// planGrid returns the digest line of every plan of the grid, in grid
+// order.
+func planGrid(t *testing.T) []string {
+	var lines []string
+	walkPlanGrid(t, func(p *Plan, key string) {
+		lines = append(lines, planDigest(p)+"  "+key)
+	})
 	return lines
+}
+
+// TestPlansNeverTransferToSelf checks that no plan of the grid issues a
+// put or get to its own actor. Such a step would be priced twice over:
+// the executor moves it as a PE-local element copy (PE.CopyElems, for a
+// Chunked plan too), while the dry run prices a Chunked plan's self
+// transfer per line (dryRun.local), so the two would drift apart
+// without a trace.
+func TestPlansNeverTransferToSelf(t *testing.T) {
+	plans := 0
+	walkPlanGrid(t, func(p *Plan, key string) {
+		plans++
+		for ri := range p.Rounds {
+			for _, s := range p.Rounds[ri].Steps {
+				if (s.Kind == StepPut || s.Kind == StepGet) && s.Peer == s.Actor {
+					t.Errorf("%s: round %d: a %v by virtual rank %d to itself", key, ri, s.Kind, s.Actor)
+					return
+				}
+			}
+		}
+	})
+	if plans == 0 {
+		t.Fatal("the plan grid is empty")
+	}
 }
 
 // TestPlanGridDigest is the plan-identity contract (see build.go): the
