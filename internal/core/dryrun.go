@@ -357,18 +357,11 @@ func (d *dryRun) step(v int, pe *dryPE, s *Step, nb bool) (yield, done bool) {
 			return true, false
 		}
 		pe.clock += xbrtime.OLBHitCost
-		var issued, landed uint64
-		var err error
-		switch put := s.Kind == StepPut; {
-		case put && d.p.Chunked:
-			issued, landed, err = d.tm.PutLines(v, s.Peer, pe.clock, d.touches(s.Src, cnt))
-		case put:
-			issued, landed, err = d.tm.PutElems(v, s.Peer, pe.clock, int(d.g.w), d.touches(s.Src, cnt), nb)
-		case d.p.Chunked:
-			issued, landed, err = d.tm.GetLines(v, s.Peer, pe.clock, d.touches(s.Dst, cnt))
-		default:
-			issued, landed, err = d.tm.GetElems(v, s.Peer, pe.clock, int(d.g.w), d.touches(s.Dst, cnt), nb)
+		local, book := s.Dst, d.tm.Get
+		if s.Kind == StepPut {
+			local, book = s.Src, d.tm.Put
 		}
+		issued, landed, err := book(v, s.Peer, pe.clock, int(d.g.w), d.touches(local, cnt), nb, d.p.Chunked)
 		if err != nil {
 			panic(err) // every link of a pricing fabric is up
 		}

@@ -2,10 +2,11 @@ package xbrtime
 
 import "xbgas/internal/mem"
 
-// Timed bulk local accessors: the local-memory analogue of the chunk
-// transfer path (chunk.go). The element-at-a-time ReadElem/WriteElem
-// model the paper's scalar load/store loops — one hierarchy touch and
-// one locked access per element — and the unsegmented trees keep them.
+// Timed bulk local accessors: the local-memory analogue of the line
+// granule of remote transfers (chunk.go). The element-at-a-time
+// ReadElem/WriteElem model the paper's scalar load/store loops — one
+// hierarchy touch and one locked access per element — and the
+// unsegmented trees keep them.
 // Chunked plans instead move contiguous payload the way a vectorised
 // memcpy would: one touch per 64-byte cache line and locked block
 // transfers, so the host prices a line, not eight element accesses.
@@ -64,18 +65,6 @@ func (pe *PE) WriteElemsChunk(dt DType, addr uint64, src []uint64) {
 	dt.maskElems(masked, src)
 	pe.node.LockedWriteElems(addr, dt.Width, uint64(dt.Width), len(src), masked)
 	pe.Advance(cost)
-}
-
-// PutChunk is the blocking form of PutChunkNB: it streams nelems
-// contiguous elements to PE target as line-granular bulk packets and
-// waits for delivery.
-func (pe *PE) PutChunk(dt DType, dest, src uint64, nelems, target int) error {
-	h, err := pe.PutChunkNB(dt, dest, src, nelems, target)
-	if err != nil {
-		return err
-	}
-	pe.Wait(h)
-	return nil
 }
 
 // BorrowWords returns a []uint64 of length n from the PE's host

@@ -1,6 +1,14 @@
 package xbrtime
 
-import "xbgas/internal/sim"
+import (
+	"xbgas/internal/mem"
+	"xbgas/internal/sim"
+)
+
+// Remote transfers: the paper's one put/get primitive (§3.3). Every put
+// and get — blocking or not, on the element or the line granule
+// (chunk.go) — runs transfer below; the granule decides only which
+// touches price the local side and which packet Timing books.
 
 // olbHitCost and olbMissCost charge the object-ID translation performed
 // once per transfer when the stub loads the target's object ID into an
@@ -33,7 +41,7 @@ func (pe *PE) Wait(h Handle) {
 // element (stride 1 = contiguous; the stride applies at both ends,
 // paper §3.3). Put blocks until the last element is delivered.
 func (pe *PE) Put(dt DType, dest, src uint64, nelems, stride int, target int) error {
-	h, err := pe.put(dt, dest, src, nelems, stride, target, false)
+	h, err := pe.put(dt, dest, src, nelems, stride, target, false, false)
 	if err != nil {
 		return err
 	}
@@ -44,14 +52,14 @@ func (pe *PE) Put(dt DType, dest, src uint64, nelems, stride int, target int) er
 // PutNB is the non-blocking form of Put: it returns once the last
 // element has been issued; Wait completes the transfer.
 func (pe *PE) PutNB(dt DType, dest, src uint64, nelems, stride int, target int) (Handle, error) {
-	return pe.put(dt, dest, src, nelems, stride, target, true)
+	return pe.put(dt, dest, src, nelems, stride, target, true, false)
 }
 
 // Get copies nelems elements of type dt from address src on PE target
 // to local address dest, with the same stride contract as Put. Get
 // blocks until the last element has arrived.
 func (pe *PE) Get(dt DType, dest, src uint64, nelems, stride int, target int) error {
-	h, err := pe.get(dt, dest, src, nelems, stride, target, false)
+	h, err := pe.get(dt, dest, src, nelems, stride, target, false, false)
 	if err != nil {
 		return err
 	}
@@ -61,144 +69,136 @@ func (pe *PE) Get(dt DType, dest, src uint64, nelems, stride int, target int) er
 
 // GetNB is the non-blocking form of Get.
 func (pe *PE) GetNB(dt DType, dest, src uint64, nelems, stride int, target int) (Handle, error) {
-	return pe.get(dt, dest, src, nelems, stride, target, true)
+	return pe.get(dt, dest, src, nelems, stride, target, true, false)
 }
 
-// put validates, records observability, and dispatches to putImpl. The
-// trace span covers the issue window [start, pe.clock]; the latency
-// histogram sees the full completion time (start to last arrival).
-func (pe *PE) put(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking bool) (Handle, error) {
-	if !pe.ObsEnabled() {
-		return pe.putImpl(dt, dest, src, nelems, stride, target, nonblocking)
+// put is the one put path behind Put, PutNB, PutChunk and PutChunkNB.
+func (pe *PE) put(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking, lines bool) (Handle, error) {
+	return pe.transfer(true, dt, dest, src, nelems, stride, target, nonblocking, lines)
+}
+
+// get is the one get path behind Get, GetNB, GetChunk and GetChunkNB.
+func (pe *PE) get(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking, lines bool) (Handle, error) {
+	return pe.transfer(false, dt, dest, src, nelems, stride, target, nonblocking, lines)
+}
+
+// transfer is a put (src local, dest on target) or a get (src on
+// target, dest local): it validates and counts the call, moves it —
+// PE-local, on the Spike transport or over the native fabric — and
+// records the obs event. The trace span covers the issue window
+// [start, pe.clock]; the latency histogram sees the full completion
+// time (start to last arrival).
+func (pe *PE) transfer(put bool, dt DType, dest, src uint64, nelems, stride, target int, nonblocking, lines bool) (Handle, error) {
+	if err := checkTransfer(dt, nelems, stride); err != nil {
+		return Handle{}, err
 	}
-	start := pe.clock
-	h, err := pe.putImpl(dt, dest, src, nelems, stride, target, nonblocking)
-	if err == nil && h.active {
-		pe.obsTransfer(true, start, h.completeAt, target, nelems)
+	if err := pe.checkTarget(target); err != nil || nelems == 0 {
+		return Handle{}, err
+	}
+	start, kind := pe.clock, "get"
+	if put {
+		kind = "put"
+		pe.puts++
+		pe.putElems += uint64(nelems)
+	} else {
+		pe.gets++
+		pe.getElems += uint64(nelems)
+	}
+	if target != pe.rank {
+		pe.traceComm(kind, target, nelems)
+	}
+	var h Handle
+	var err error
+	switch spike := pe.rt.cfg.Transport == TransportSpike; {
+	case spike && put:
+		h, err = pe.spikePut(dt, dest, src, nelems, stride, target)
+	case spike:
+		h, err = pe.spikeGet(dt, dest, src, nelems, stride, target)
+	case target == pe.rank:
+		// PE-local transfer: plain loads and stores through the
+		// hierarchy, on either granule.
+		pe.CopyElems(dt, dest, src, nelems, stride, stride)
+		h = Handle{completeAt: pe.clock, active: true}
+	default:
+		h, err = pe.remote(put, dt, dest, src, nelems, stride, target, nonblocking, lines)
+	}
+	if err == nil && pe.ObsEnabled() {
+		pe.obsTransfer(put, start, h.completeAt, target, nelems)
 	}
 	return h, err
 }
 
-func (pe *PE) putImpl(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking bool) (Handle, error) {
-	if err := checkTransfer(dt, nelems, stride); err != nil {
-		return Handle{}, err
-	}
-	if err := pe.checkTarget(target); err != nil {
-		return Handle{}, err
-	}
-	if nelems == 0 {
-		return Handle{}, nil
-	}
-	pe.puts++
-	pe.putElems += uint64(nelems)
-	if target != pe.rank {
-		pe.traceComm("put", target, nelems)
-	}
-
-	if pe.rt.cfg.Transport == TransportSpike {
-		return pe.spikePut(dt, dest, src, nelems, stride, target)
-	}
-
-	if target == pe.rank {
-		// PE-local put: plain loads and stores through the hierarchy.
-		pe.CopyElems(dt, dest, src, nelems, stride, stride)
-		return Handle{completeAt: pe.clock, active: true}, nil
-	}
-
-	w := dt.Width
-	step := uint64(stride * w)
-
+// remote moves a transfer over the native fabric. lines picks the
+// granule (chunk.go; stride 1 only): one packet per element, or one per
+// cache line.
+func (pe *PE) remote(put bool, dt DType, dest, src uint64, nelems, stride, target int, nonblocking, lines bool) (Handle, error) {
 	// In lockstep mode, transfers book the fabric in virtual-clock
 	// order.
 	pe.lsYield()
-
-	targetNode := pe.rt.machine.Nodes[target]
 	pe.chargeOLB(target)
 
-	// Price every source-element read on the local hierarchy (owned by
-	// this PE's goroutine, so no lock is needed), read the values in
-	// one locked pass, and book the whole element stream in one fabric
-	// critical section. The per-element issue/arrival recurrence is
-	// evaluated inside SendStream and matches the element-at-a-time
-	// loop (refPutGet in the tests) cycle for cycle.
-	costs := pe.costs(nelems)
-	pe.node.Hier.TouchRange(src, w, step, nelems, false, costs)
-	vals := pe.elems(nelems)
-	pe.node.LockedReadElems(src, w, step, nelems, vals)
-
-	endIssue, lastArrive, err := pe.rt.timing.PutElems(pe.rank, target, pe.clock, w, costs, nonblocking)
+	// Price the local side up front — the source reads of a put, the
+	// destination writes of a get — on the hierarchy (owned by this
+	// PE's goroutine and untouched by the fabric bookings, so the costs
+	// are the ones the reference loops compute interleaved), then book
+	// the whole stream in one fabric critical section. The per-packet
+	// issue/arrival recurrence is evaluated inside SendStream and
+	// FetchStream and matches the element-at-a-time loops (refPutGet in
+	// the tests) cycle for cycle.
+	w, step := dt.Width, uint64(stride*dt.Width)
+	book, local, from, to := pe.rt.timing.Get, dest, pe.rt.machine.Nodes[target], pe.node
+	if put {
+		book, local, from, to = pe.rt.timing.Put, src, to, from
+	}
+	costs := pe.price(local, w, step, nelems, !put, lines)
+	issued, done, err := book(pe.rank, target, pe.clock, w, costs, nonblocking, lines)
 	if err != nil {
 		return Handle{}, err
 	}
-	targetNode.LockedWriteElems(dest, w, step, nelems, vals)
-	pe.advanceTo(endIssue)
-	return Handle{completeAt: lastArrive, active: true}, nil
+	pe.move(to, dest, from, src, w, step, nelems)
+	pe.advanceTo(issued)
+	return Handle{completeAt: done, active: true}, nil
 }
 
-// get mirrors put's observability wrapper around getImpl.
-func (pe *PE) get(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking bool) (Handle, error) {
-	if !pe.ObsEnabled() {
-		return pe.getImpl(dt, dest, src, nelems, stride, target, nonblocking)
+// price charges the local side of a remote transfer — nelems
+// width-byte elements step bytes apart at addr — on the hierarchy and
+// returns the cost of each packet's touch: one per element, or with
+// lines one per cache line the range spans (ChunkLines).
+func (pe *PE) price(addr uint64, w int, step uint64, nelems int, write, lines bool) []uint64 {
+	n := nelems
+	if lines {
+		addr, n = ChunkLines(addr, uint64(nelems*w))
+		w, step = mem.LineSize, mem.LineSize
 	}
-	start := pe.clock
-	h, err := pe.getImpl(dt, dest, src, nelems, stride, target, nonblocking)
-	if err == nil && h.active {
-		pe.obsTransfer(false, start, h.completeAt, target, nelems)
-	}
-	return h, err
+	costs := pe.costs(n)
+	pe.node.Hier.TouchRange(addr, w, step, n, write, costs)
+	return costs
 }
 
-func (pe *PE) getImpl(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking bool) (Handle, error) {
-	if err := checkTransfer(dt, nelems, stride); err != nil {
-		return Handle{}, err
-	}
-	if err := pe.checkTarget(target); err != nil {
-		return Handle{}, err
-	}
-	if nelems == 0 {
-		return Handle{}, nil
-	}
-	pe.gets++
-	pe.getElems += uint64(nelems)
-	if target != pe.rank {
-		pe.traceComm("get", target, nelems)
-	}
+// stagingBytes bounds the host block a transfer moves stride-1 payload
+// through, so a PE's host footprint does not grow with the largest
+// range it ever moved.
+const stagingBytes = 32 << 10
 
-	if pe.rt.cfg.Transport == TransportSpike {
-		return pe.spikeGet(dt, dest, src, nelems, stride, target)
+// move lands a remote transfer's payload: nelems width-byte elements,
+// step bytes apart at both ends, from src on node from to dst on node
+// to. A stride-1 range moves in address order through the PE's bounded
+// staging block, a strided one element by element. Purely functional:
+// the caller has already charged the hierarchy and the fabric.
+func (pe *PE) move(to *sim.Node, dst uint64, from *sim.Node, src uint64, w int, step uint64, nelems int) {
+	if step != uint64(w) {
+		vals := pe.elems(nelems)
+		from.LockedReadElems(src, w, step, nelems, vals)
+		to.LockedWriteElems(dst, w, step, nelems, vals)
+		return
 	}
-
-	if target == pe.rank {
-		// PE-local get mirrors the PE-local put.
-		pe.CopyElems(dt, dest, src, nelems, stride, stride)
-		return Handle{completeAt: pe.clock, active: true}, nil
+	n := uint64(nelems * w)
+	buf := pe.bytes(int(min(n, stagingBytes)))
+	for off := uint64(0); off < n; off += stagingBytes {
+		b := buf[:min(n-off, stagingBytes)]
+		from.LockedReadBytes(src+off, b)
+		to.LockedWriteBytes(dst+off, b)
 	}
-
-	w := dt.Width
-	step := uint64(stride * w)
-
-	pe.lsYield()
-
-	targetNode := pe.rt.machine.Nodes[target]
-	pe.chargeOLB(target)
-
-	// Price the destination-element writes up front (the hierarchy is
-	// owned by this PE and untouched by the fabric bookings, so the
-	// per-element costs are the same the reference loop would compute
-	// interleaved), then book every request/response round trip in one
-	// fabric critical section and move the data in two locked passes.
-	costs := pe.costs(nelems)
-	pe.node.Hier.TouchRange(dest, w, step, nelems, true, costs)
-
-	endIssue, lastDone, err := pe.rt.timing.GetElems(pe.rank, target, pe.clock, w, costs, nonblocking)
-	if err != nil {
-		return Handle{}, err
-	}
-	vals := pe.elems(nelems)
-	targetNode.LockedReadElems(src, w, step, nelems, vals)
-	pe.node.LockedWriteElems(dest, w, step, nelems, vals)
-	pe.advanceTo(endIssue)
-	return Handle{completeAt: lastDone, active: true}, nil
 }
 
 // chargeOLB models the object-ID translation for a remote transfer.

@@ -13,7 +13,14 @@ type transferImpl struct {
 
 // streamPutGet is the shipped implementation: one batched fabric stream
 // per transfer.
-var streamPutGet = transferImpl{put: (*PE).put, get: (*PE).get}
+var streamPutGet = transferImpl{
+	put: func(pe *PE, dt DType, dest, src uint64, nelems, stride, target int, nonblocking bool) (Handle, error) {
+		return pe.put(dt, dest, src, nelems, stride, target, nonblocking, false)
+	},
+	get: func(pe *PE, dt DType, dest, src uint64, nelems, stride, target int, nonblocking bool) (Handle, error) {
+		return pe.get(dt, dest, src, nelems, stride, target, nonblocking, false)
+	},
+}
 
 // refPutGet is the original element-at-a-time implementation, kept as
 // the oracle the stream path must match cycle for cycle: it books the
@@ -52,7 +59,7 @@ func remoteTransfer(pe *PE, dt DType, nelems, stride, target int) bool {
 
 func refPut(pe *PE, dt DType, dest, src uint64, nelems, stride, target int, nonblocking bool) (Handle, error) {
 	if !remoteTransfer(pe, dt, nelems, stride, target) {
-		return pe.put(dt, dest, src, nelems, stride, target, nonblocking)
+		return pe.put(dt, dest, src, nelems, stride, target, nonblocking, false)
 	}
 	pe.puts++
 	pe.putElems += uint64(nelems)
@@ -107,7 +114,7 @@ func refPut(pe *PE, dt DType, dest, src uint64, nelems, stride, target int, nonb
 
 func refGet(pe *PE, dt DType, dest, src uint64, nelems, stride, target int, nonblocking bool) (Handle, error) {
 	if !remoteTransfer(pe, dt, nelems, stride, target) {
-		return pe.get(dt, dest, src, nelems, stride, target, nonblocking)
+		return pe.get(dt, dest, src, nelems, stride, target, nonblocking, false)
 	}
 	pe.gets++
 	pe.getElems += uint64(nelems)

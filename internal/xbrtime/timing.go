@@ -58,53 +58,55 @@ func ChunkLines(addr, bytes uint64) (first uint64, n int) {
 	return first, n
 }
 
-// PutElems books an element-stream put src→dst issued at now: one
-// packet per element, an 8-byte address header on each. touch[i] is the
-// hierarchy cost of reading source element i (the load instruction is
-// added here, in place). The stream is pipelined when non-blocking or
-// at least the unroll threshold long. It returns the clock at which the
-// sender has issued the last element and the clock at which it lands.
-func (t *Timing) PutElems(src, dst int, now uint64, width int, touch []uint64, nonblocking bool) (issued, done uint64, err error) {
-	return t.put(src, dst, now, 8+width, touch, nonblocking || len(touch) >= t.unrollAt)
-}
+// headerBytes is the address/command header of a put packet and of a
+// get request, on either granule; a line also travels behind one in a
+// get's response.
+const headerBytes = 8
 
-// PutLines is PutElems for the bulk path: one packet per cache line of
-// payload behind one header, always pipelined.
-func (t *Timing) PutLines(src, dst int, now uint64, touch []uint64) (issued, done uint64, err error) {
-	return t.put(src, dst, now, chunkHeaderBytes+mem.LineSize, touch, true)
-}
-
-func (t *Timing) put(src, dst int, now uint64, packet int, touch []uint64, unrolled bool) (uint64, uint64, error) {
+// Put books a put stream src→dst issued at now. touch[i] is the
+// hierarchy cost of reading packet i's payload at the source (the load
+// instruction is added here, in place). On the element granule a packet
+// is one width-byte element behind a header, and the stream is
+// pipelined when non-blocking or at least the unroll threshold long;
+// with lines it is one cache line behind a header, always pipelined. It
+// returns the clock at which the sender has issued the last packet and
+// the clock at which it lands.
+func (t *Timing) Put(src, dst int, now uint64, width int, touch []uint64, nonblocking, lines bool) (issued, done uint64, err error) {
+	payload, unrolled := t.granule(width, len(touch), nonblocking, lines)
 	for i := range touch {
 		touch[i] += loadCPU
 	}
 	return t.Fabric.SendStream(fabric.Stream{
-		Src: src, Dst: dst, ElemBytes: packet,
+		Src: src, Dst: dst, ElemBytes: headerBytes + payload,
 		Start: now, PreCost: touch,
 		Gap: t.gap, FlowWindow: t.flow, Unrolled: unrolled,
 	})
 }
 
-// GetElems books an element-stream get: src requests each element from
-// dst with an 8-byte request and dst answers with the element.
-// touch[i] is the hierarchy cost of writing destination element i once
-// it has arrived. Pipelining and results as PutElems.
-func (t *Timing) GetElems(src, dst int, now uint64, width int, touch []uint64, nonblocking bool) (issued, done uint64, err error) {
-	return t.get(src, dst, now, 8, width, touch, nonblocking || len(touch) >= t.unrollAt)
-}
-
-// GetLines is GetElems for the bulk path: one request per cache line,
-// answered with the line behind a header, always pipelined.
-func (t *Timing) GetLines(src, dst int, now uint64, touch []uint64) (issued, done uint64, err error) {
-	return t.get(src, dst, now, chunkHeaderBytes, chunkHeaderBytes+mem.LineSize, touch, true)
-}
-
-func (t *Timing) get(src, dst int, now uint64, req, resp int, touch []uint64, unrolled bool) (uint64, uint64, error) {
+// Get books a get stream: src requests each packet's payload from dst
+// with a header-sized request and dst answers with it — a bare element,
+// or a cache line behind a header. touch[i] is the hierarchy cost of
+// writing packet i's payload at the destination once it has arrived.
+// Granule, pipelining and results as Put.
+func (t *Timing) Get(src, dst int, now uint64, width int, touch []uint64, nonblocking, lines bool) (issued, done uint64, err error) {
+	resp, unrolled := t.granule(width, len(touch), nonblocking, lines)
+	if lines {
+		resp += headerBytes
+	}
 	return t.Fabric.FetchStream(fabric.Fetch{
-		Src: src, Dst: dst, ReqBytes: req, RespBytes: resp,
+		Src: src, Dst: dst, ReqBytes: headerBytes, RespBytes: resp,
 		Start: now, ReqCost: loadCPU, PostCost: touch,
 		Gap: t.gap, FlowWindow: t.flow, Unrolled: unrolled,
 	})
+}
+
+// granule returns the payload of one packet of an n-packet stream and
+// whether the stream is pipelined.
+func (t *Timing) granule(width, n int, nonblocking, lines bool) (payload int, unrolled bool) {
+	if lines {
+		return mem.LineSize, true
+	}
+	return width, nonblocking || n >= t.unrollAt
 }
 
 // Signal books a completion-flag store src→dst issued at now that must
