@@ -182,8 +182,7 @@ func RunGUPS(p GUPSParams, nPEs int) (Result, error) {
 				}
 				for i := range pending {
 					s := &pending[i]
-					cur := pe.ReadElem(dt, scratch+uint64(i)*8)
-					pe.WriteElem(dt, scratch+uint64(i)*8, cur^s.val)
+					pe.UpdateElem(dt, scratch+uint64(i)*8, func(cur uint64) uint64 { return cur ^ s.val })
 					pe.Advance(1) // xor ALU
 					h, err := pe.PutNB(dt, s.addr, scratch+uint64(i)*8, 1, 1, s.owner)
 					if err != nil {
@@ -204,9 +203,8 @@ func RunGUPS(p GUPSParams, nPEs int) (Result, error) {
 				addr := table + (idx%perPE)*8
 				pe.Advance(4) // index arithmetic
 				if owner == me {
-					v := pe.ReadElem(dt, addr)
-					pe.Advance(1)
-					pe.WriteElem(dt, addr, v^x)
+					pe.UpdateElem(dt, addr, func(v uint64) uint64 { return v ^ x })
+					pe.Advance(1) // xor ALU
 					continue
 				}
 				i := len(pending)
