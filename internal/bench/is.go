@@ -239,7 +239,7 @@ func RunIS(p ISParams, nPEs int) (Result, error) {
 				dest := recv + uint64(dstOff)*w
 				src := stage + uint64(stageOff[b])*w
 				if b == me {
-					pe.CopyElems(dt, dest, src, counts[b], 1, 1)
+					pe.CopyElems(dt, dest, src, counts[b], 1, 1, false)
 					continue
 				}
 				h, err := pe.PutNB(dt, dest, src, counts[b], 1, b)

@@ -349,10 +349,6 @@ func (d *dryRun) step(v int, pe *dryPE, s *Step, nb bool) (yield, done bool) {
 			pe.lastNB = 0
 			return false, true
 		}
-		if s.Peer == v {
-			pe.clock += d.local(s, cnt, 2, 0)
-			return false, true
-		}
 		if !pe.token() {
 			return true, false
 		}

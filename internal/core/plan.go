@@ -315,12 +315,15 @@ type Plan struct {
 	FlagWords int
 	Depth     int
 
-	// Chunked is the one bulk-vs-element predicate, for the executor
-	// and the cost model alike. Every stride-1 put, get (blocking or
-	// not), copy and combine of a Chunked plan moves as line-granular
-	// bulk traffic (xbrtime/chunk.go, bulk.go); its strided steps, and
-	// every step of a plan without it, take the element-at-a-time
-	// accessors. The bandwidth-optimal planners set it — their whole
+	// Chunked picks the granule, for the executor and the cost model
+	// alike. Every stride-1 put, get (blocking or not), copy and
+	// combine of a Chunked plan is priced on the line granule: one
+	// touch, and for a transfer one packet, per cache line
+	// (xbrtime/chunk.go, bulk.go). Its strided steps, and every step of
+	// a plan without it, are priced per element. The granule is an
+	// argument of the one transfer, copy and combine call
+	// (xbrtime.PE.Transfer, CopyElems, CombineElems); it never changes
+	// the bytes a step moves. The bandwidth-optimal planners set it — their whole
 	// point is moving large contiguous chunks — and finalize sets it for
 	// every flag-pipelined plan (FlagWords > 0); the paper's unsegmented
 	// element-at-a-time plans keep the historical model.

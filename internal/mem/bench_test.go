@@ -100,7 +100,7 @@ func BenchmarkTouchRandom(b *testing.B) {
 	b.ReportMetric(float64(h.Cycles())/float64(b.N), "simCycles/op")
 }
 
-const benchElems = 4096 // the chunk ReadElemsChunk/WriteElemsChunk hand down
+const benchElems = 4096 // the block xbrtime.ReadElemsChunk/WriteElemsChunk and a combine (sim.Node.LockedUpdate) hand down
 
 // benchElemsMemory returns a memory holding benchElems 8-byte elements
 // at benchBase (eight mapped pages) and the values written there.

@@ -99,26 +99,46 @@ func (n *Node) LockedCopyElems(dest, src uint64, size int, destStep, srcStep uin
 }
 
 // LockedUpdate rewrites count size-byte elements under one acquisition
-// of the node's memory lock: for i in [0, count), in element order, the
-// element x at dest+i·destStep becomes f(x, y), where y is the element
-// at src+i·srcStep, both raw — the interleaving, and therefore the
-// overlap semantics, of a loop that reads x, reads y and writes the
-// result. Where src+i·srcStep is dest+i·destStep, y is x: each element
-// is read once and written once, a read-modify-write. Only the low size
-// bytes of f's result are stored. f runs under the lock, so it must not
-// access this node's memory.
-func (n *Node) LockedUpdate(dest, src uint64, size int, destStep, srcStep uint64, count int, f func(x, y uint64) uint64) {
+// of the node's memory lock: f, a slice kernel, rewrites raw
+// destination elements xs (at dest+i·destStep) in place, element by
+// element, from xs and the matching source elements ys (at
+// src+i·srcStep); only the low size bytes of each are stored. xs and ys
+// are the caller's workspace, len(ys) >= len(xs) >= 1. Where the ranges
+// are disjoint, or coincide (dest == src, equal steps: ys is xs), f
+// sees blocks of at most len(xs) elements, each read, rewritten and
+// written back in turn. Otherwise it sees one element at a time in
+// element order: the overlap semantics of a loop that reads x, reads y
+// (x itself where the addresses meet) and writes the result. f runs
+// under the lock, so it must not access this node's memory.
+func (n *Node) LockedUpdate(dest, src uint64, size int, destStep, srcStep uint64, count int, xs, ys []uint64, f func(xs, ys []uint64)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ram := n.Hier.RAM()
+	ram, w := n.Hier.RAM(), uint64(size)
+	same := dest == src && destStep == srcStep
+	if count > 1 && destStep >= w && (same || dest+uint64(count-1)*destStep+w <= src || src+uint64(count-1)*srcStep+w <= dest) {
+		for i := 0; i < count; i += len(xs) {
+			k := min(len(xs), count-i)
+			d, x, y := dest+uint64(i)*destStep, xs[:k], xs[:k]
+			ram.ReadElems(d, size, destStep, k, x)
+			if !same {
+				y = ys[:k]
+				ram.ReadElems(src+uint64(i)*srcStep, size, srcStep, k, y)
+			}
+			f(x, y)
+			ram.WriteElems(d, size, destStep, k, x)
+		}
+		return
+	}
+	x, y := xs[:1], ys[:1]
 	for i := 0; i < count; i++ {
 		d, s := dest+uint64(i)*destStep, src+uint64(i)*srcStep
-		x := ram.ReadUint(d, size)
-		y := x
+		x[0] = ram.ReadUint(d, size)
+		y[0] = x[0]
 		if s != d {
-			y = ram.ReadUint(s, size)
+			y[0] = ram.ReadUint(s, size)
 		}
-		ram.WriteUint(d, size, f(x, y))
+		f(x, y)
+		ram.WriteUint(d, size, x[0])
 	}
 }
 

@@ -22,19 +22,29 @@ func (pe *PE) WriteElem(dt DType, addr uint64, canon uint64) {
 
 // CopyElems copies n elements of type dt within the PE's own memory:
 // element i is read at src + i·srcStride·width and written at
-// dst + i·dstStride·width, in element order. The clock, the hierarchy
-// and the bytes end exactly as after n ReadElem/WriteElem pairs
-// (overlapping ranges smear as that loop does), priced in one
-// Hierarchy.TouchCopy and moved under one lock.
-func (pe *PE) CopyElems(dt DType, dst, src uint64, n, dstStride, srcStride int) {
+// dst + i·dstStride·width, in element order, under one lock; the bytes
+// end exactly as after n ReadElem/WriteElem pairs (overlapping ranges
+// smear as that loop does). On the element granule the clock and the
+// hierarchy do too, priced in one Hierarchy.TouchCopy; with lines
+// (stride 1 only) the read of src and then the write of dst are each
+// priced once per cache line (touchLines).
+func (pe *PE) CopyElems(dt DType, dst, src uint64, n, dstStride, srcStride int, lines bool) {
 	if n <= 0 {
 		return
 	}
 	w := uint64(dt.Width)
 	ds, ss := uint64(dstStride)*w, uint64(srcStride)*w
-	pe.Advance(pe.node.Hier.TouchCopy(dst, src, dt.Width, ds, ss, n, false) + 2*loadCPU*uint64(n))
+	if bytes := uint64(n) * w; lines {
+		pe.Advance(pe.touchLines(src, bytes, false) + pe.touchLines(dst, bytes, true))
+	} else {
+		pe.Advance(pe.node.Hier.TouchCopy(dst, src, dt.Width, ds, ss, n, false) + 2*loadCPU*uint64(n))
+	}
 	pe.node.LockedCopyElems(dst, src, dt.Width, ds, ss, n)
 }
+
+// updateBlock bounds, in elements, the host workspace a read-modify-write
+// moves its elements through (sim.Node.LockedUpdate).
+const updateBlock = 4096
 
 // UpdateElem performs a timed read-modify-write of one element: it
 // reads the canonical value at addr, writes f of it back and returns
@@ -45,9 +55,10 @@ func (pe *PE) CopyElems(dt DType, dst, src uint64, n, dstStride, srcStride int) 
 // not access the PE's memory.
 func (pe *PE) UpdateElem(dt DType, addr uint64, f func(uint64) uint64) (old uint64) {
 	pe.Advance(pe.node.Hier.TouchCopy(addr, addr, dt.Width, 0, 0, 1, false) + 2*loadCPU)
-	pe.node.LockedUpdate(addr, addr, dt.Width, 0, 0, 1, func(x, _ uint64) uint64 {
-		old = dt.Canon(x)
-		return f(old)
+	x := pe.elems(1)
+	pe.node.LockedUpdate(addr, addr, dt.Width, 0, 0, 1, x, x, func(xs, _ []uint64) {
+		old = dt.Canon(xs[0])
+		xs[0] = f(old)
 	})
 	return old
 }
@@ -62,7 +73,12 @@ func (pe *PE) UpdateElems(dt DType, addr uint64, n int, f func(uint64) uint64) {
 	}
 	w := uint64(dt.Width)
 	pe.Advance(pe.node.Hier.TouchCopy(addr, addr, dt.Width, w, w, n, false) + 2*loadCPU*uint64(n))
-	pe.node.LockedUpdate(addr, addr, dt.Width, w, w, n, func(x, _ uint64) uint64 { return f(dt.Canon(x)) })
+	xs := pe.elems(min(n, updateBlock))
+	pe.node.LockedUpdate(addr, addr, dt.Width, w, w, n, xs, xs, func(xs, _ []uint64) {
+		for i, x := range xs {
+			xs[i] = f(dt.Canon(x))
+		}
+	})
 }
 
 // ReadElems performs a timed read of len(dst) contiguous elements at
@@ -80,22 +96,36 @@ func (pe *PE) ReadElems(dt DType, addr uint64, dst []uint64) {
 }
 
 // CombineElems folds n elements of src into dst within the PE's own
-// memory: element i of dst, at dst + i·dstStride·width, becomes f(x, y)
-// of its canonical value x and the canonical value y of src's element
-// i, at src + i·srcStride·width, in element order. The clock, the
-// hierarchy and the bytes end exactly as after n rounds of ReadElem at
+// memory, under one lock: f, a slice kernel on canonical words,
+// rewrites each block xs of dst's elements (at dst + i·dstStride·width)
+// from xs and the matching block ys of src's (at src +
+// i·srcStride·width), element by element (sim.Node.LockedUpdate sizes
+// the blocks). The bytes end exactly as after n rounds of ReadElem at
 // dst, ReadElem at src and WriteElem at dst (overlapping ranges smear
-// as that loop does), priced in one Hierarchy.TouchCopy and done under
-// one lock. The combine's own ALU cost is the caller's to charge. f
-// runs under the lock, as in UpdateElem.
-func (pe *PE) CombineElems(dt DType, dst, src uint64, n, dstStride, srcStride int, f func(x, y uint64) uint64) {
+// as that loop does). On the element granule the clock and the
+// hierarchy do too, priced in one Hierarchy.TouchCopy; with lines
+// (stride 1 only) the reads of dst and src and then the write of dst
+// are each priced once per cache line (touchLines). The combine's own
+// ALU cost is the caller's to charge. f runs under the lock, as in
+// UpdateElem.
+func (pe *PE) CombineElems(dt DType, dst, src uint64, n, dstStride, srcStride int, lines bool, f func(xs, ys []uint64)) {
 	if n <= 0 {
 		return
 	}
 	w := uint64(dt.Width)
 	ds, ss := uint64(dstStride)*w, uint64(srcStride)*w
-	pe.Advance(pe.node.Hier.TouchCopy(dst, src, dt.Width, ds, ss, n, true) + 3*loadCPU*uint64(n))
-	pe.node.LockedUpdate(dst, src, dt.Width, ds, ss, n, func(x, y uint64) uint64 { return f(dt.Canon(x), dt.Canon(y)) })
+	if bytes := uint64(n) * w; lines {
+		pe.Advance(pe.touchLines(dst, bytes, false) + pe.touchLines(src, bytes, false) + pe.touchLines(dst, bytes, true))
+	} else {
+		pe.Advance(pe.node.Hier.TouchCopy(dst, src, dt.Width, ds, ss, n, true) + 3*loadCPU*uint64(n))
+	}
+	b := min(n, updateBlock)
+	buf := pe.elems(2 * b)
+	pe.node.LockedUpdate(dst, src, dt.Width, ds, ss, n, buf[:b], buf[b:], func(xs, ys []uint64) {
+		dt.canonElems(xs)
+		dt.canonElems(ys)
+		f(xs, ys)
+	})
 }
 
 // Peek reads one element functionally (no cycle charge, no cache

@@ -113,7 +113,7 @@ func TestCopyElemsMatchesElemLoop(t *testing.T) {
 
 	check := func(name string, dt DType, dst, src uint64, n, ds, ss int) {
 		t.Helper()
-		copied.CopyElems(dt, dst, src, n, ds, ss)
+		copied.CopyElems(dt, dst, src, n, ds, ss, false)
 		w := uint64(dt.Width)
 		for i := 0; i < n; i++ {
 			v := looped.ReadElem(dt, src+uint64(i*ss)*w)
@@ -163,7 +163,7 @@ func TestCopyElemsMatchesElemLoop(t *testing.T) {
 		dst    uint64
 		ds, ss int
 	}{{"contiguous", base + region, 1, 1}, {"overlapping", base + 8, 1, 1}, {"strided", base + region, 2, 1}} {
-		if a := testing.AllocsPerRun(20, func() { copied.CopyElems(TypeLong, c.dst, base, 256, c.ds, c.ss) }); a != 0 {
+		if a := testing.AllocsPerRun(20, func() { copied.CopyElems(TypeLong, c.dst, base, 256, c.ds, c.ss, false) }); a != 0 {
 			t.Errorf("%s CopyElems: %v allocs/op, want 0", c.name, a)
 		}
 	}
@@ -244,6 +244,12 @@ func checkTwins(t *testing.T, name string, got, want *PE, base uint64, size int)
 	if g, w := readHierStats(got), readHierStats(want); g != w {
 		t.Fatalf("%s: hierarchy\ncall         %+v\nelement loop %+v", name, g, w)
 	}
+	checkBytes(t, name, got, want, base, size)
+}
+
+// checkBytes fails unless the size bytes at base of got and want agree.
+func checkBytes(t *testing.T, name string, got, want *PE, base uint64, size int) {
+	t.Helper()
 	g, w := make([]byte, size), make([]byte, size)
 	got.PeekBytes(base, g)
 	want.PeekBytes(base, w)
@@ -328,14 +334,23 @@ func TestUpdateElemsMatchesElemLoop(t *testing.T) {
 // byte must agree after each call, for every width and signedness,
 // strides 1-3 on either side, ranges overlapping by -3..+3 elements
 // (which smear in element order), dst == src, and disjoint ranges; and
-// a call must not allocate.
+// a call must not allocate. A third runtime makes every call with
+// stride 1 on both sides on the line granule, and its bytes must agree
+// too.
 func TestCombineElemsMatchesElemLoop(t *testing.T) {
 	const region = 3 * 4096
 	called, looped, base := twinPEs(t, 2*region, 39)
+	lined, _, _ := twinPEs(t, 2*region, 39)
 	combine := func(x, y uint64) uint64 { return x*5 + y }
+	kernel := func(xs, ys []uint64) {
+		for i, x := range xs {
+			xs[i] = combine(x, ys[i])
+		}
+	}
 	check := func(name string, dt DType, dst, src uint64, n, ds, ss int) {
 		t.Helper()
-		called.CombineElems(dt, dst, src, n, ds, ss, combine)
+		called.CombineElems(dt, dst, src, n, ds, ss, false, kernel)
+		lined.CombineElems(dt, dst, src, n, ds, ss, ds == 1 && ss == 1, kernel)
 		w := uint64(dt.Width)
 		for i := 0; i < n; i++ {
 			d := dst + uint64(i*ds)*w
@@ -344,6 +359,7 @@ func TestCombineElemsMatchesElemLoop(t *testing.T) {
 			looped.WriteElem(dt, d, combine(x, y))
 		}
 		checkTwins(t, name, called, looped, base, 2*region)
+		checkBytes(t, name+" (lines)", lined, looped, base, 2*region)
 	}
 	for _, dt := range []DType{TypeSChar, TypeUShort, TypeInt, TypeULong, TypeDouble} {
 		w := dt.Width
@@ -366,7 +382,7 @@ func TestCombineElemsMatchesElemLoop(t *testing.T) {
 		dst    uint64
 		ds, ss int
 	}{{"contiguous", base + region, 1, 1}, {"overlapping", base + 8, 1, 1}, {"strided", base + region, 2, 1}} {
-		if a := testing.AllocsPerRun(20, func() { called.CombineElems(TypeLong, c.dst, base, 256, c.ds, c.ss, combine) }); a != 0 {
+		if a := testing.AllocsPerRun(20, func() { called.CombineElems(TypeLong, c.dst, base, 256, c.ds, c.ss, false, kernel) }); a != 0 {
 			t.Errorf("%s CombineElems: %v allocs/op, want 0", c.name, a)
 		}
 	}

@@ -72,23 +72,26 @@ func (pe *PE) GetNB(dt DType, dest, src uint64, nelems, stride int, target int) 
 	return pe.get(dt, dest, src, nelems, stride, target, true, false)
 }
 
-// put is the one put path behind Put, PutNB, PutChunk and PutChunkNB.
+// put is Transfer's put, behind Put, PutNB, PutChunk and PutChunkNB.
 func (pe *PE) put(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking, lines bool) (Handle, error) {
-	return pe.transfer(true, dt, dest, src, nelems, stride, target, nonblocking, lines)
+	return pe.Transfer(true, dt, dest, src, nelems, stride, target, nonblocking, lines)
 }
 
-// get is the one get path behind Get, GetNB, GetChunk and GetChunkNB.
+// get is Transfer's get, behind Get, GetNB, GetChunk and GetChunkNB.
 func (pe *PE) get(dt DType, dest, src uint64, nelems, stride int, target int, nonblocking, lines bool) (Handle, error) {
-	return pe.transfer(false, dt, dest, src, nelems, stride, target, nonblocking, lines)
+	return pe.Transfer(false, dt, dest, src, nelems, stride, target, nonblocking, lines)
 }
 
-// transfer is a put (src local, dest on target) or a get (src on
-// target, dest local): it validates and counts the call, moves it —
-// PE-local, on the Spike transport or over the native fabric — and
-// records the obs event. The trace span covers the issue window
-// [start, pe.clock]; the latency histogram sees the full completion
-// time (start to last arrival).
-func (pe *PE) transfer(put bool, dt DType, dest, src uint64, nelems, stride, target int, nonblocking, lines bool) (Handle, error) {
+// Transfer is the one put/get path: a put (src local, dest on target)
+// or a get (src on target, dest local) with Put's stride contract, on
+// the element granule or with lines (stride 1 only) the line granule
+// (chunk.go), booked as the NB forms book when nonblocking. It returns
+// once the transfer is issued; Wait(h) completes it. It validates and
+// counts the call, moves it — PE-local, on the Spike transport or over
+// the native fabric — and records the obs event: a trace span over the
+// issue window [start, pe.clock], and the full completion time (start
+// to last arrival) in the latency histogram.
+func (pe *PE) Transfer(put bool, dt DType, dest, src uint64, nelems, stride, target int, nonblocking, lines bool) (Handle, error) {
 	if err := checkTransfer(dt, nelems, stride); err != nil {
 		return Handle{}, err
 	}
@@ -116,8 +119,8 @@ func (pe *PE) transfer(put bool, dt DType, dest, src uint64, nelems, stride, tar
 		h, err = pe.spikeGet(dt, dest, src, nelems, stride, target)
 	case target == pe.rank:
 		// PE-local transfer: plain loads and stores through the
-		// hierarchy, on either granule.
-		pe.CopyElems(dt, dest, src, nelems, stride, stride)
+		// hierarchy, priced per element on either granule.
+		pe.CopyElems(dt, dest, src, nelems, stride, stride, false)
 		h = Handle{completeAt: pe.clock, active: true}
 	default:
 		h, err = pe.remote(put, dt, dest, src, nelems, stride, target, nonblocking, lines)
@@ -182,10 +185,15 @@ const stagingBytes = 32 << 10
 
 // move lands a remote transfer's payload: nelems width-byte elements,
 // step bytes apart at both ends, from src on node from to dst on node
-// to. A stride-1 range moves in address order through the PE's bounded
-// staging block, a strided one element by element. Purely functional:
-// the caller has already charged the hierarchy and the fabric.
+// to. One element moves as one value, a stride-1 range in address order
+// through the PE's bounded staging block, a strided one element by
+// element. Purely functional: the caller has already charged the
+// hierarchy and the fabric.
 func (pe *PE) move(to *sim.Node, dst uint64, from *sim.Node, src uint64, w int, step uint64, nelems int) {
+	if nelems == 1 {
+		to.LockedWrite(dst, w, from.LockedRead(src, w))
+		return
+	}
 	if step != uint64(w) {
 		vals := pe.elems(nelems)
 		from.LockedReadElems(src, w, step, nelems, vals)
