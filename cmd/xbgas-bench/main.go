@@ -165,12 +165,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		is.Runtime.TopoSpec = *topo
 	}
 	if *chunk != 0 {
-		// Per-kernel params carry the override so library callers get
-		// the same knob; the global set covers every other path the
-		// driver exercises (ablations, figures, -compare).
+		// One process-wide override covers every path the driver
+		// exercises: the kernels, ablations, figures, -compare, -audit.
 		core.SetChunkBytes(*chunk)
-		gups.Chunk = *chunk
-		is.Chunk = *chunk
 	}
 
 	// Observability rides through the kernels' runtime configuration:

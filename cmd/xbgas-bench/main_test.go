@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xbgas/internal/core"
 )
 
 func TestRunTables(t *testing.T) {
@@ -90,6 +92,25 @@ func TestRunAlgoFlag(t *testing.T) {
 	args := []string{"-algo", "linear", "-gups", "2", "-gups-table", "4096", "-gups-updates", "64"}
 	if code := run(args, &out, &errBuf); code != 0 {
 		t.Fatalf("-algo linear gups: exit %d: %s", code, errBuf.String())
+	}
+}
+
+// TestRunChunkFlagOutlivesKernels: -chunk is one process-wide
+// override, so it still holds after the GUPS and IS runs for whatever
+// the driver does next (-compare, ablations, sweeps, -audit).
+func TestRunChunkFlagOutlivesKernels(t *testing.T) {
+	defer core.SetChunkBytes(0)
+	var out, errBuf strings.Builder
+	for _, args := range [][]string{
+		{"-chunk", "4096", "-figure", "4", "-gups-table", "1024", "-gups-updates", "64"},
+		{"-chunk", "4096", "-figure", "5", "-is-keys", "1024", "-is-maxkey", "256", "-is-iters", "1"},
+	} {
+		if code := run(args, &out, &errBuf); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errBuf.String())
+		}
+		if got := core.ChunkBytes(); got != 4096 {
+			t.Errorf("%v: chunk override after the run = %d, want 4096", args, got)
+		}
 	}
 }
 

@@ -34,10 +34,6 @@ type GUPSParams struct {
 	// and reduce calls (the bench driver's -algo flag); the zero value
 	// keeps the binomial tree the kernel has always used.
 	Algo core.Algorithm
-	// Chunk overrides collective message segmentation for the run (the
-	// bench driver's -chunk flag): 0 = auto, >0 forces that segment
-	// size in bytes, <0 disables segmentation.
-	Chunk int
 	// Runtime overrides the runtime configuration (NumPEs is set by
 	// RunGUPS).
 	Runtime xbrtime.Config
@@ -98,10 +94,6 @@ func RunGUPS(p GUPSParams, nPEs int) (Result, error) {
 	}
 	if p.Lookahead <= 0 {
 		return Result{}, fmt.Errorf("bench: lookahead must be positive")
-	}
-	if p.Chunk != 0 {
-		core.SetChunkBytes(p.Chunk)
-		defer core.SetChunkBytes(0)
 	}
 	cfg := p.Runtime
 	cfg.NumPEs = nPEs

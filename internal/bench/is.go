@@ -34,10 +34,6 @@ type ISParams struct {
 	// broadcast and reduce calls (the bench driver's -algo flag); the
 	// zero value keeps the binomial tree the kernel has always used.
 	Algo core.Algorithm
-	// Chunk overrides collective message segmentation for the run (the
-	// bench driver's -chunk flag): 0 = auto, >0 forces that segment
-	// size in bytes, <0 disables segmentation.
-	Chunk int
 	// Runtime overrides the runtime configuration.
 	Runtime xbrtime.Config
 }
@@ -64,10 +60,6 @@ func RunIS(p ISParams, nPEs int) (Result, error) {
 	}
 	if p.Iterations <= 0 {
 		return Result{}, fmt.Errorf("bench: iterations must be positive")
-	}
-	if p.Chunk != 0 {
-		core.SetChunkBytes(p.Chunk)
-		defer core.SetChunkBytes(0)
 	}
 	cfg := p.Runtime
 	cfg.NumPEs = nPEs

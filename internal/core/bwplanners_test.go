@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"xbgas/internal/xbrtime"
@@ -11,9 +10,9 @@ import (
 // Tests for the bandwidth-optimal planner family (planners_bw.go):
 // value conformance for allreduce/allgather/reduce-scatter across
 // power-of-two and non-power-of-two PE counts, rooted ring
-// broadcast/reduce at every root, the all-types matrix at the
-// non-power-of-two counts, and the differential check that every
-// executed transfer matches the plan's own Transfers projection.
+// broadcast/reduce at every root, and the all-types matrix at the
+// non-power-of-two counts. Their schedule-vs-execution rows are in
+// schedule_test.go.
 
 // bwCounts are the PE counts the family is exercised at: the
 // power-of-two fast paths, every non-power-of-two fallback shape up to
@@ -347,117 +346,6 @@ func TestBandwidthCollectivesEveryType(t *testing.T) {
 						}
 						return pe.Free(src)
 					})
-				}
-			})
-		}
-	}
-}
-
-// TestBandwidthPlannerTransfersMatchExecution is the differential check
-// for the new planners: every remote move the executor performs must
-// appear in the plan's own Transfers projection, and vice versa.
-// Element counts keep every chunk non-empty so no skip-if-zero step
-// hides a scheduled transfer.
-func TestBandwidthPlannerTransfersMatchExecution(t *testing.T) {
-	type tc struct {
-		coll     Collective
-		algo     Algorithm
-		segments int
-	}
-	cases := []tc{
-		{CollAllReduce, AlgoRing, 1},
-		{CollAllGather, AlgoRing, 1},
-		{CollReduceScatter, AlgoRing, 1},
-		{CollAllReduce, AlgoRabenseifner, 1},
-		{CollAllGather, AlgoRabenseifner, 1},
-		{CollReduceScatter, AlgoRabenseifner, 1},
-		{CollBroadcast, AlgoRing, 1},
-		{CollReduce, AlgoRing, 1},
-		{CollBroadcast, AlgoRing, 3},
-		{CollReduce, AlgoRing, 3},
-	}
-	for _, c := range cases {
-		for _, n := range []int{2, 3, 4, 5, 7, 8, 12} {
-			c, n := c, n
-			t.Run(fmt.Sprintf("%s/%s/seg%d/n%d", c.coll, c.algo, c.segments, n), func(t *testing.T) {
-				p, err := CompilePlanSeg(c.coll, c.algo, n, c.segments)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if c.segments > 1 && p.Segments != c.segments {
-					t.Fatalf("%s/%s: wanted a %d-segment plan, got %d", c.coll, c.algo, c.segments, p.Segments)
-				}
-				want := p.Transfers()
-				sortTransfers(want)
-				var mu sync.Mutex
-				var got []Transfer
-				runSPMD(t, n, func(pe *xbrtime.PE) error {
-					nelems := 2*n + 3
-					if c.segments > 1 {
-						nelems = 2*c.segments + 1
-					}
-					a := ExecArgs{
-						DT: xbrtime.TypeInt64, Op: OpSum,
-						Nelems: nelems, Stride: 1, Root: 0,
-					}
-					w := uint64(8)
-					var err error // shadow the outer err: closures run on every PE
-					var allocs []uint64
-					alloc := func(bytes uint64) (uint64, error) {
-						ad, err := pe.Malloc(bytes)
-						if err != nil {
-							return 0, err
-						}
-						allocs = append(allocs, ad)
-						return ad, nil
-					}
-					if a.Dest, err = alloc(uint64(nelems) * w); err != nil {
-						return err
-					}
-					if a.Src, err = alloc(uint64(nelems) * w); err != nil {
-						return err
-					}
-					if c.coll == CollAllGather {
-						a.PeMsgs = make([]int, n)
-						a.PeDisp = make([]int, n)
-						rest := nelems
-						for l := 0; l < n; l++ {
-							per := rest / (n - l)
-							a.PeMsgs[l] = per
-							a.PeDisp[l] = nelems - rest
-							rest -= per
-						}
-					}
-					a.OnTransfer = func(round int, s Step, _ int) {
-						tr := Transfer{Round: round, Kind: s.Kind, From: s.Actor, To: s.Peer}
-						if s.Kind == StepGet {
-							tr.From, tr.To = s.Peer, s.Actor
-						}
-						mu.Lock()
-						got = append(got, tr)
-						mu.Unlock()
-					}
-					if err := Execute(pe, p, a); err != nil {
-						return err
-					}
-					if err := pe.Barrier(); err != nil {
-						return err
-					}
-					for _, ad := range allocs {
-						if err := pe.Free(ad); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				sortTransfers(got)
-				if len(got) != len(want) {
-					t.Fatalf("executed %d transfers, plan schedules %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("transfer %d: executed %+v, plan %+v", i, got[i], want[i])
-					}
 				}
 			})
 		}

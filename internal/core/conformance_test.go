@@ -1,133 +1,11 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"testing"
 
 	"xbgas/internal/xbrtime"
 )
-
-// observed is one traced remote transfer in virtual-rank space.
-type observed struct {
-	kind     string
-	from, to int // virtual ranks
-}
-
-// traceCollective runs a collective with a communication trace on
-// every PE and returns the remote transfers in virtual-rank space.
-func traceCollective(t *testing.T, nPEs, root int,
-	run func(pe *xbrtime.PE) error) []observed {
-	t.Helper()
-	rt, err := xbrtime.New(xbrtime.Config{NumPEs: nPEs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var events []observed
-	err = rt.Run(func(pe *xbrtime.PE) error {
-		me := pe.MyPE()
-		pe.SetCommTrace(func(ev xbrtime.TraceEvent) {
-			mu.Lock()
-			events = append(events, observed{
-				kind: ev.Kind,
-				from: VirtualRank(me, root, nPEs),
-				to:   VirtualRank(ev.Target, root, nPEs),
-			})
-			mu.Unlock()
-		})
-		return run(pe)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return events
-}
-
-func sortObserved(evs []observed) {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].from != evs[j].from {
-			return evs[i].from < evs[j].from
-		}
-		return evs[i].to < evs[j].to
-	})
-}
-
-// TestBroadcastConformsToSchedule verifies that the executed broadcast
-// performs exactly the put set of the analytic Algorithm 1 schedule —
-// the strongest statement that the implementation is the paper's
-// algorithm, not merely something that produces the right data.
-func TestBroadcastConformsToSchedule(t *testing.T) {
-	for _, nPEs := range []int{2, 3, 5, 8} {
-		for _, root := range []int{0, nPEs - 1} {
-			events := traceCollective(t, nPEs, root, func(pe *xbrtime.PE) error {
-				dest, err := pe.Malloc(8)
-				if err != nil {
-					return err
-				}
-				src, err := pe.PrivateAlloc(8)
-				if err != nil {
-					return err
-				}
-				return Broadcast(pe, xbrtime.TypeInt64, dest, src, 1, 1, root)
-			})
-			want := make([]observed, 0)
-			for _, tr := range BroadcastSchedule(nPEs) {
-				want = append(want, observed{kind: "put", from: tr.From, to: tr.To})
-			}
-			sortObserved(events)
-			sortObserved(want)
-			if len(events) != len(want) {
-				t.Fatalf("n=%d root=%d: %d transfers, schedule has %d:\n%v\nvs\n%v",
-					nPEs, root, len(events), len(want), events, want)
-			}
-			for i := range want {
-				if events[i] != want[i] {
-					t.Errorf("n=%d root=%d transfer %d: got %+v, want %+v",
-						nPEs, root, i, events[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestReduceConformsToSchedule does the same for the get-based
-// reduction of Algorithm 2.
-func TestReduceConformsToSchedule(t *testing.T) {
-	for _, nPEs := range []int{2, 3, 5, 8} {
-		for _, root := range []int{0, nPEs / 2} {
-			events := traceCollective(t, nPEs, root, func(pe *xbrtime.PE) error {
-				src, err := pe.Malloc(8)
-				if err != nil {
-					return err
-				}
-				dest, err := pe.PrivateAlloc(8)
-				if err != nil {
-					return err
-				}
-				return Reduce(pe, xbrtime.TypeInt64, OpSum, dest, src, 1, 1, root)
-			})
-			want := make([]observed, 0)
-			for _, tr := range ReduceSchedule(nPEs) {
-				// The getter (To in schedule terms) issues the get; the
-				// trace records it as from=getter, to=data owner.
-				want = append(want, observed{kind: "get", from: tr.To, to: tr.From})
-			}
-			sortObserved(events)
-			sortObserved(want)
-			if len(events) != len(want) {
-				t.Fatalf("n=%d root=%d: %d transfers, schedule has %d",
-					nPEs, root, len(events), len(want))
-			}
-			for i := range want {
-				if events[i] != want[i] {
-					t.Errorf("n=%d root=%d transfer %d: got %+v, want %+v",
-						nPEs, root, i, events[i], want[i])
-				}
-			}
-		}
-	}
-}
 
 // TestScatterMessageSizesShrinkDownTree checks Algorithm 3's defining
 // property: each round forwards a block covering the partner and its

@@ -39,12 +39,6 @@ type ExecArgs struct {
 	// ranks, targets map through Team.Member, and the team barrier
 	// replaces the world barrier. Nil means the world.
 	Team *xbrtime.Team
-
-	// OnTransfer, when set, observes every put/get the executor issues.
-	// A step dropped by SkipIfZero is not reported, matching the wire.
-	// Test instrumentation for the differential schedule-vs-execution
-	// check.
-	OnTransfer func(round int, s Step, count int)
 }
 
 // execEnv is the per-call execution state; it lives on the stack so
@@ -319,9 +313,6 @@ func (e *execEnv) step(s *Step, r *Round, handles *[]xbrtime.Handle) error {
 		}
 		dst, src := e.addr(s.Dst, s.Strided), e.addr(s.Src, s.Strided)
 		tgt := e.rankOf(s.Peer)
-		if a.OnTransfer != nil {
-			a.OnTransfer(r.Idx, *s, cnt)
-		}
 		// One predicate picks the granule: a Chunked plan moves every
 		// stride-1 range on cache lines; strided ranges and the
 		// paper's element-at-a-time plans keep the element stream.

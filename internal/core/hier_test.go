@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"xbgas/internal/fabric"
@@ -12,9 +11,9 @@ import (
 // Tests for the topology-aware planners (planners_hier.go,
 // planners_pat.go): value conformance on grouped fabrics with even
 // (rail-form) and uneven (leader-form) node populations, PAT value
-// checks up to 256 PEs, the differential transfers-match-execution
-// check, and the auto selection guard that grouped shapes never break
-// flat decisions.
+// checks up to 256 PEs, and the auto selection guard that grouped
+// shapes never break flat decisions. Their schedule-vs-execution rows
+// are in schedule_test.go.
 
 // runSPMDTopo is runSPMD on an explicit fabric topology.
 func runSPMDTopo(t *testing.T, nPEs int, topo fabric.Topology, fn func(pe *xbrtime.PE) error) {
@@ -279,108 +278,6 @@ func TestPATValues(t *testing.T) {
 				}
 				return nil
 			})
-		})
-	}
-}
-
-// TestHierPATTransfersMatchExecution is the differential check for the
-// topology-aware planners: every executed remote move must match the
-// plan's own Transfers projection, on both the rail and leader forms.
-func TestHierPATTransfersMatchExecution(t *testing.T) {
-	type tc struct {
-		coll Collective
-		algo Algorithm
-		n    int
-		per  int // 0 = flat compile
-	}
-	cases := []tc{
-		{CollAllReduce, AlgoHier, 12, 4},
-		{CollAllReduce, AlgoHier, 12, 5},
-		{CollAllGather, AlgoHier, 12, 4},
-		{CollAllGather, AlgoHier, 12, 5},
-		{CollBroadcast, AlgoHier, 12, 5},
-		{CollReduce, AlgoHier, 12, 5},
-		{CollAllGather, AlgoPAT, 12, 0},
-		{CollAllGather, AlgoPAT, 7, 0},
-		{CollReduceScatter, AlgoPAT, 12, 0},
-		{CollReduceScatter, AlgoPAT, 7, 0},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(fmt.Sprintf("%s/%s/n%d/pn%d", c.coll, c.algo, c.n, c.per), func(t *testing.T) {
-			n := c.n
-			p, err := CompilePlanFor(c.coll, c.algo, n, 1, Shape{PerNode: c.per})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := p.Transfers()
-			sortTransfers(want)
-			var mu sync.Mutex
-			var got []Transfer
-			runSPMD(t, n, func(pe *xbrtime.PE) error {
-				nelems := 2*n + 3
-				a := ExecArgs{
-					DT: xbrtime.TypeInt64, Op: OpSum,
-					Nelems: nelems, Stride: 1, Root: 0,
-				}
-				var err error
-				var allocs []uint64
-				alloc := func(bytes uint64) (uint64, error) {
-					ad, err := pe.Malloc(bytes)
-					if err != nil {
-						return 0, err
-					}
-					allocs = append(allocs, ad)
-					return ad, nil
-				}
-				if a.Dest, err = alloc(uint64(nelems) * 8); err != nil {
-					return err
-				}
-				if a.Src, err = alloc(uint64(nelems) * 8); err != nil {
-					return err
-				}
-				if c.coll == CollAllGather {
-					a.PeMsgs = make([]int, n)
-					a.PeDisp = make([]int, n)
-					rest := nelems
-					for l := 0; l < n; l++ {
-						per := rest / (n - l)
-						a.PeMsgs[l] = per
-						a.PeDisp[l] = nelems - rest
-						rest -= per
-					}
-				}
-				a.OnTransfer = func(round int, s Step, _ int) {
-					tr := Transfer{Round: round, Kind: s.Kind, From: s.Actor, To: s.Peer}
-					if s.Kind == StepGet {
-						tr.From, tr.To = s.Peer, s.Actor
-					}
-					mu.Lock()
-					got = append(got, tr)
-					mu.Unlock()
-				}
-				if err := Execute(pe, p, a); err != nil {
-					return err
-				}
-				if err := pe.Barrier(); err != nil {
-					return err
-				}
-				for _, ad := range allocs {
-					if err := pe.Free(ad); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			sortTransfers(got)
-			if len(got) != len(want) {
-				t.Fatalf("executed %d transfers, plan schedules %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("transfer %d: executed %+v, plan %+v", i, got[i], want[i])
-				}
-			}
 		})
 	}
 }

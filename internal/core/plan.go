@@ -391,8 +391,9 @@ func (p *Plan) finalize() {
 // Transfers projects the plan's remote moves in virtual-rank space:
 // for a put the actor is the mover (From), for a get the actor pulls
 // from its peer. This is the single source of truth behind
-// BroadcastSchedule/ReduceSchedule and the differential
-// schedule-vs-execution test.
+// BroadcastSchedule, ReduceSchedule and RenderTree; the
+// schedule-vs-execution test (schedule_test.go) holds executed calls
+// to it.
 func (p *Plan) Transfers() []Transfer {
 	var out []Transfer
 	for ri := range p.Rounds {

@@ -68,11 +68,11 @@ func planGrid(t *testing.T) []string {
 }
 
 // TestPlansNeverTransferToSelf checks that no plan of the grid issues a
-// put or get to its own actor. Such a step would be priced twice over:
-// the executor moves it as a PE-local element copy (PE.CopyElems, for a
-// Chunked plan too), while the dry run prices a Chunked plan's self
-// transfer per line (dryRun.local), so the two would drift apart
-// without a trace.
+// put or get to its own actor. Such a step would be priced two ways:
+// the executor moves it as a PE-local element copy (PE.Transfer sends
+// a self target through CopyElems, for a Chunked plan too), while the
+// dry run books it on the fabric through Timing.Put/Get like any
+// remote transfer, so the two would drift apart without a trace.
 func TestPlansNeverTransferToSelf(t *testing.T) {
 	plans := 0
 	walkPlanGrid(t, func(p *Plan, key string) {

@@ -1,183 +1,11 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"testing"
 
 	"xbgas/internal/xbrtime"
 )
-
-// ---------------------------------------------------------------------
-// Differential test: for every registered (collective, algorithm) pair,
-// every PE count 1..16 (powers of two and not), and every root, the
-// transfer set the executor actually issues must equal the analytic
-// schedule projected from the same plan (Plan.Transfers). The executor
-// reports its transfers through the ExecArgs.OnTransfer hook, so this
-// compares the wire against the IR with no tracing middleman.
-// ---------------------------------------------------------------------
-
-func sortTransfers(ts []Transfer) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
-}
-
-// diffArgs builds per-PE buffers and arguments for one differential
-// case. Sizes are chosen so no skip-if-zero step fires: vector
-// collectives use one element per PE, the chunked broadcast moves n
-// elements (one per chunk).
-func diffArgs(pe *xbrtime.PE, coll Collective, n, root int) (ExecArgs, []uint64, error) {
-	var allocs []uint64
-	alloc := func(bytes uint64) (uint64, error) {
-		a, err := pe.Malloc(bytes)
-		if err != nil {
-			return 0, err
-		}
-		allocs = append(allocs, a)
-		return a, nil
-	}
-	w := uint64(8)
-	a := ExecArgs{DT: xbrtime.TypeInt64, Op: OpSum, Stride: 1, Root: root}
-	var err error
-	switch coll {
-	case CollBroadcast, CollReduce, CollAllReduce:
-		a.Nelems = n // ≥ 1 per chunk for scatter-allgather
-		if a.Dest, err = alloc(uint64(n) * w); err != nil {
-			return a, allocs, err
-		}
-		if a.Src, err = alloc(uint64(n) * w); err != nil {
-			return a, allocs, err
-		}
-	case CollScatter, CollGather, CollAllGather:
-		a.Nelems = n
-		a.PeMsgs = make([]int, n)
-		a.PeDisp = make([]int, n)
-		for i := range a.PeMsgs {
-			a.PeMsgs[i] = 1
-			a.PeDisp[i] = i
-		}
-		if a.Dest, err = alloc(uint64(n) * w); err != nil {
-			return a, allocs, err
-		}
-		if a.Src, err = alloc(uint64(n) * w); err != nil {
-			return a, allocs, err
-		}
-	case CollAlltoall:
-		a.Nelems = 1
-		if a.Dest, err = alloc(uint64(n) * w); err != nil {
-			return a, allocs, err
-		}
-		if a.Src, err = alloc(uint64(n) * w); err != nil {
-			return a, allocs, err
-		}
-	}
-	return a, allocs, nil
-}
-
-func TestExecutionMatchesSchedule(t *testing.T) {
-	cases := []struct {
-		coll Collective
-		algo Algorithm
-	}{
-		{CollBroadcast, AlgoBinomial},
-		{CollBroadcast, AlgoLinear},
-		{CollBroadcast, AlgoScatterAllgather},
-		{CollReduce, AlgoBinomial},
-		{CollReduce, AlgoLinear},
-		{CollScatter, AlgoBinomial},
-		{CollScatter, AlgoLinear},
-		{CollGather, AlgoBinomial},
-		{CollGather, AlgoLinear},
-		{CollAllReduce, AlgoBinomial},
-		{CollAllGather, AlgoBinomial},
-		{CollAlltoall, AlgoDirect},
-	}
-	for _, tc := range cases {
-		for n := 1; n <= 16; n++ {
-			p, err := CompilePlan(tc.coll, tc.algo, n)
-			if err != nil {
-				t.Fatalf("%s/%s n=%d: %v", tc.coll, tc.algo, n, err)
-			}
-			want := p.Transfers()
-			sortTransfers(want)
-
-			roots := []int{0}
-			rooted := tc.coll == CollBroadcast || tc.coll == CollReduce ||
-				tc.coll == CollScatter || tc.coll == CollGather
-			if rooted {
-				roots = roots[:0]
-				for r := 0; r < n; r++ {
-					roots = append(roots, r)
-				}
-			}
-
-			var mu sync.Mutex
-			got := make([][]Transfer, len(roots))
-			rt, err := xbrtime.New(xbrtime.Config{NumPEs: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = rt.Run(func(pe *xbrtime.PE) error {
-				for ri, root := range roots {
-					a, allocs, err := diffArgs(pe, tc.coll, n, root)
-					if err != nil {
-						return err
-					}
-					ri := ri
-					a.OnTransfer = func(round int, s Step, _ int) {
-						tr := Transfer{Round: round, Kind: s.Kind, From: s.Actor, To: s.Peer}
-						if s.Kind == StepGet {
-							tr.From, tr.To = s.Peer, s.Actor
-						}
-						mu.Lock()
-						got[ri] = append(got[ri], tr)
-						mu.Unlock()
-					}
-					if err := Execute(pe, p, a); err != nil {
-						return err
-					}
-					if err := pe.Barrier(); err != nil {
-						return err
-					}
-					for _, addr := range allocs {
-						if err := pe.Free(addr); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s/%s n=%d: %v", tc.coll, tc.algo, n, err)
-			}
-			for ri, root := range roots {
-				g := got[ri]
-				sortTransfers(g)
-				if len(g) != len(want) {
-					t.Fatalf("%s/%s n=%d root=%d: executed %d transfers, schedule has %d:\n%v\nvs\n%v",
-						tc.coll, tc.algo, n, root, len(g), len(want), g, want)
-				}
-				for i := range want {
-					if g[i] != want[i] {
-						t.Errorf("%s/%s n=%d root=%d transfer %d: executed %+v, schedule %+v",
-							tc.coll, tc.algo, n, root, i, g[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
 
 // ---------------------------------------------------------------------
 // Plan-cache properties.

@@ -40,18 +40,6 @@ func ReduceSchedule(n int) []Transfer {
 	return p.Transfers()
 }
 
-// SegmentedBroadcastSchedule projects the pipelined broadcast for n
-// PEs split into segments chunks: every tree edge appears once per
-// segment, with Round carrying the segment index. Returns nil for
-// n < 1 (or when the shape degenerates to the unsegmented plan).
-func SegmentedBroadcastSchedule(n, segments int) []Transfer {
-	p, err := CompilePlanSeg(CollBroadcast, AlgoBinomial, n, segments)
-	if err != nil {
-		return nil
-	}
-	return p.Transfers()
-}
-
 // SegmentedDepth is the segmented cost model behind the Figure 3
 // projection: a payload split into S segments pipelines through the
 // ⌈log₂ n⌉-deep binomial tree in ⌈log₂ n⌉+S−1 segment steps — the

@@ -9,148 +9,13 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Segmented (pipelined) plans: the differential schedule-vs-execution
-// check, value correctness across roots/strides/uneven segment splits,
-// transfer-count conservation against the unsegmented plans, the
-// pipeline-depth cost model, chunk auto-selection, and pool/heap
-// balance when a link fault breaks the pipeline mid-flight.
+// Segmented (pipelined) plans: value correctness across
+// roots/strides/uneven segment splits, transfer-count conservation
+// against the unsegmented plans, the pipeline-depth cost model, chunk
+// auto-selection, and pool/heap balance when a link fault breaks the
+// pipeline mid-flight. Their schedule-vs-execution rows are in
+// schedule_test.go.
 // ---------------------------------------------------------------------
-
-// segDiffArgs builds per-PE buffers for one segmented differential
-// case. The element count is at least the segment count so every
-// CountSeg slice is non-empty and no skip-if-zero step hides a
-// scheduled transfer; vector collectives use one element per PE, which
-// keeps every subtree block non-empty too.
-func segDiffArgs(pe *xbrtime.PE, coll Collective, n, segments, root int) (ExecArgs, []uint64, error) {
-	var allocs []uint64
-	alloc := func(bytes uint64) (uint64, error) {
-		a, err := pe.Malloc(bytes)
-		if err != nil {
-			return 0, err
-		}
-		allocs = append(allocs, a)
-		return a, nil
-	}
-	w := uint64(8)
-	a := ExecArgs{DT: xbrtime.TypeInt64, Op: OpSum, Stride: 1, Root: root}
-	var err error
-	switch coll {
-	case CollBroadcast, CollReduce, CollAllReduce:
-		a.Nelems = 2*segments + 1 // uneven split: first rem segments one longer
-		if a.Dest, err = alloc(uint64(a.Nelems) * w); err != nil {
-			return a, allocs, err
-		}
-		if a.Src, err = alloc(uint64(a.Nelems) * w); err != nil {
-			return a, allocs, err
-		}
-	case CollScatter:
-		a.Nelems = n
-		a.PeMsgs = make([]int, n)
-		a.PeDisp = make([]int, n)
-		for i := range a.PeMsgs {
-			a.PeMsgs[i] = 1
-			a.PeDisp[i] = i
-		}
-		if a.Dest, err = alloc(uint64(n) * w); err != nil {
-			return a, allocs, err
-		}
-		if a.Src, err = alloc(uint64(n) * w); err != nil {
-			return a, allocs, err
-		}
-	}
-	return a, allocs, nil
-}
-
-// TestSegmentedExecutionMatchesSchedule is the segmented variant of
-// TestExecutionMatchesSchedule: for every pipelined collective, every
-// PE count 1..16, and every root, the transfers the executor issues
-// must equal the segmented plan's analytic projection. The wait/signal
-// dependency steps are invisible to both sides, so this also pins that
-// flag traffic never masquerades as data movement.
-func TestSegmentedExecutionMatchesSchedule(t *testing.T) {
-	cases := []struct {
-		coll     Collective
-		segments int
-	}{
-		{CollBroadcast, 3},
-		{CollReduce, 3},
-		{CollAllReduce, 3},
-		{CollScatter, 2},
-		{CollBroadcast, 5},
-	}
-	for _, tc := range cases {
-		for n := 1; n <= 16; n++ {
-			p, err := CompilePlanSeg(tc.coll, AlgoBinomial, n, tc.segments)
-			if err != nil {
-				t.Fatalf("%s seg=%d n=%d: %v", tc.coll, tc.segments, n, err)
-			}
-			want := p.Transfers()
-			sortTransfers(want)
-
-			roots := []int{0}
-			if tc.coll != CollAllReduce {
-				roots = roots[:0]
-				for r := 0; r < n; r++ {
-					roots = append(roots, r)
-				}
-			}
-
-			var mu sync.Mutex
-			got := make([][]Transfer, len(roots))
-			rt, err := xbrtime.New(xbrtime.Config{NumPEs: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = rt.Run(func(pe *xbrtime.PE) error {
-				for ri, root := range roots {
-					a, allocs, err := segDiffArgs(pe, tc.coll, n, tc.segments, root)
-					if err != nil {
-						return err
-					}
-					ri := ri
-					a.OnTransfer = func(round int, s Step, _ int) {
-						tr := Transfer{Round: round, Kind: s.Kind, From: s.Actor, To: s.Peer}
-						if s.Kind == StepGet {
-							tr.From, tr.To = s.Peer, s.Actor
-						}
-						mu.Lock()
-						got[ri] = append(got[ri], tr)
-						mu.Unlock()
-					}
-					if err := Execute(pe, p, a); err != nil {
-						return err
-					}
-					if err := pe.Barrier(); err != nil {
-						return err
-					}
-					for _, addr := range allocs {
-						if err := pe.Free(addr); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s seg=%d n=%d: %v", tc.coll, tc.segments, n, err)
-			}
-			for ri, root := range roots {
-				g := got[ri]
-				sortTransfers(g)
-				if len(g) != len(want) {
-					t.Fatalf("%s seg=%d n=%d root=%d: executed %d transfers, schedule has %d:\n%v\nvs\n%v",
-						tc.coll, tc.segments, n, root, len(g), len(want), g, want)
-				}
-				for i := range want {
-					if g[i] != want[i] {
-						t.Errorf("%s seg=%d n=%d root=%d transfer %d: executed %+v, schedule %+v",
-							tc.coll, tc.segments, n, root, i, g[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestSegmentedCollectiveValues forces segmentation through the public
 // entry points (the -chunk override) and checks the data that lands,
