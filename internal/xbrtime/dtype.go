@@ -112,11 +112,19 @@ func (dt DType) mask() uint64 {
 // for KindUint, raw IEEE bits for KindFloat.
 func (dt DType) Canon(raw uint64) uint64 {
 	raw &= dt.mask()
-	if dt.Kind == KindInt && dt.Width < 8 {
-		shift := uint(64 - 8*dt.Width)
-		return uint64(int64(raw<<shift) >> shift)
+	if s := dt.SignShift(); s > 0 {
+		return uint64(int64(raw<<s) >> s)
 	}
 	return raw
+}
+
+// SignShift is the shift s by which Canon sign-extends a KindInt
+// value's low Width bytes, int64(v<<s)>>s; 0 for every other kind.
+func (dt DType) SignShift() uint {
+	if dt.Kind != KindInt {
+		return 0
+	}
+	return uint(64 - 8*dt.Width)
 }
 
 // Float converts a canonical value to float64 (KindFloat only).
