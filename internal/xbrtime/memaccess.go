@@ -75,8 +75,9 @@ func (pe *PE) UpdateElems(dt DType, addr uint64, n int, f func(uint64) uint64) {
 	pe.Advance(pe.node.Hier.TouchCopy(addr, addr, dt.Width, w, w, n, false) + 2*loadCPU*uint64(n))
 	xs := pe.elems(min(n, updateBlock))
 	pe.node.LockedUpdate(addr, addr, dt.Width, w, w, n, xs, xs, func(xs, _ []uint64) {
+		dt.canonElems(xs)
 		for i, x := range xs {
-			xs[i] = f(dt.Canon(x))
+			xs[i] = f(x)
 		}
 	})
 }
